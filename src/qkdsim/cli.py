@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-    qkd-sim run    --duration 1.0 --seed <hex> --out run.csv [--otp pad.otp]
+    qkd-sim run    --duration 1.0 --seed <hex> --out run.csv [--otp pad.otp] [--phase-hist h.csv]
     qkd-sim sweep  --sweep background --values 0,5000,10000 --reps 3 ...
     qkd-sim sweep  --sweep gate --values 3,5,7 --backgrounds 0,20000,40000 ...
     qkd-sim otp    {init,status,ledger} --otp pad.otp [--size N] [--seed hex]
@@ -15,14 +15,7 @@ import sys
 
 from qkdsim.otp_store import OtpStore
 from qkdsim.params import SystemParams
-from qkdsim.runner import (
-    RunConfig,
-    attach_store,
-    run_once,
-    sweep_background,
-    sweep_gate,
-    write_reports_csv,
-)
+from qkdsim.runner import RunConfig, open_outputs, run_once, sweep_background, sweep_gate
 from qkdsim.seeds import np_rng, parse_seed
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
@@ -70,8 +63,6 @@ def _add_common(parser):
     parser.add_argument("--background", type=float, default=None,
                         help="per-channel background rate (counts/s)")
     parser.add_argument("--gate-ns", type=float, default=None, help="gate width in ns")
-    parser.add_argument("--phase-hist", default=None,
-                        help="write the residual-phase histogram CSV here")
 
 
 def _make_config(args) -> RunConfig:
@@ -85,34 +76,29 @@ def _make_config(args) -> RunConfig:
         return default
 
     seed_text = pick(args.seed, "seed", str, "00")
-    cfg = RunConfig(
+    backgrounds = getattr(args, "backgrounds", None)
+    return RunConfig(
         params=_build_params(args, file_cfg),
         duration_s=pick(args.duration, "duration", float, 1.0),
         repetitions=pick(args.reps, "reps", int, 1),
         master_seed=parse_seed(seed_text),
         sweep_axis=getattr(args, "sweep", None),
         axis_values=_parse_values(args.values) if getattr(args, "values", None) else (),
+        background_values=(
+            _parse_values(backgrounds) if backgrounds else RunConfig.background_values
+        ),
         out_path=pick(args.out, "out", str, None),
         otp_path=pick(args.otp, "otp", str, None),
-        phase_hist_path=args.phase_hist,
     )
-    if getattr(args, "backgrounds", None):
-        cfg.background_values = _parse_values(args.backgrounds)
-    return cfg
 
 
 def _cmd_run(args) -> int:
     cfg = _make_config(args)
-    otp = attach_store(cfg)
-    try:
+    with open_outputs(cfg) as (otp, emit):
         report = run_once(
-            cfg.params, cfg.duration_s, cfg.master_seed, "run", 0, otp, cfg=cfg
+            cfg.params, cfg.duration_s, cfg.master_seed, otp=otp, phase_hist_path=args.phase_hist
         )
-    finally:
-        if otp:
-            otp.close()
-    if cfg.out_path:
-        write_reports_csv(cfg.out_path, [report])
+        emit(report)
     if report.succeeded:
         print(
             f"n_rec={report.n_rec} error={report.error_rate:.4f} "
@@ -169,6 +155,8 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="single end-to-end key exchange")
     _add_common(p_run)
+    p_run.add_argument("--phase-hist", default=None,
+                       help="write the residual-phase histogram CSV here")
 
     p_sweep = sub.add_parser("sweep", help="parameter sweep, one CSV row per run")
     _add_common(p_sweep)

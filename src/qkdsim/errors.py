@@ -17,6 +17,10 @@ class AmbiguousAlignment(QkdError):
     """Top two correlation scores are too close to trust the offset."""
 
 
+class InsufficientData(QkdError, ValueError):
+    """Too few events or key bits for a statistical step: the run was too short."""
+
+
 class QberAboveThreshold(QkdError):
     """Estimated error rate above the abort threshold; eavesdropping assumed."""
 

@@ -251,21 +251,13 @@ class OtpStore:
         self.close()
 
 
-def session_budget(
-    store: OtpStore,
-    runs_failed: int,
-    per_attempt_cost: int,
-    reserve_factor: float = 1.0,
-) -> bool:
+def session_budget(store: OtpStore, per_attempt_cost: int) -> bool:
     """Go/no-go for another key-exchange attempt.
 
     Bright conditions can burn the pad through repeated failed attempts
     without ever topping it up; refuse to start when the remaining pad
-    cannot cover the attempt cost times the configured reserve.
-    ``runs_failed`` is informational (for the operator's log); the check
-    itself is purely budgetary.
+    cannot cover the attempt cost.
     """
     if per_attempt_cost < 0:
         raise ValueError("attempt cost cannot be negative")
-    del runs_failed
-    return store.remaining >= per_attempt_cost * reserve_factor
+    return store.remaining >= per_attempt_cost

@@ -1,5 +1,6 @@
 """Physical and protocol constants shared across the pipeline."""
 
+import math
 from dataclasses import dataclass
 
 # Gaussian FWHM -> standard deviation
@@ -49,8 +50,8 @@ class SystemParams:
             raise ValueError("gate width must be positive")
         if self.gate_width_s > self.pulse_period_s:
             raise ValueError("gate width cannot exceed the pulse period")
-        if self.background_rate_cps < 0:
-            raise ValueError("background rate cannot be negative")
+        if not (math.isfinite(self.background_rate_cps) and self.background_rate_cps >= 0):
+            raise ValueError("background rate must be finite and non-negative")
         if len(self.base_ber_per_channel) != 4:
             raise ValueError("need one base BER per channel")
         for ber in self.base_ber_per_channel:

@@ -167,14 +167,8 @@ def compute_syndrome(key_bits: np.ndarray, graph: FactorGraph) -> Syndrome:
     key_bits = np.asarray(key_bits)
     if key_bits.size != graph.n:
         raise LengthMismatch(f"key has {key_bits.size} bits, graph expects {graph.n}")
-    sums = np.bincount(
-        graph.check_index,
-        weights=key_bits[graph.var_index].astype(np.float64),
-        minlength=graph.m,
-    )
-    bits = (sums.astype(np.int64) & 1).astype(np.uint8)
     return Syndrome(
-        bits=bits,
+        bits=_syndrome_of(key_bits, graph),
         n=graph.n,
         rate=1.0 - graph.m / graph.n,
         seed_fingerprint=hashlib.sha256(graph.seed).digest()[:8],
@@ -228,7 +222,6 @@ def decode(
         totals = prior + np.bincount(
             graph.var_index, weights=msg_cv, minlength=graph.n
         )
-        e_hat = (totals[graph.var_index] < 0).astype(np.uint8)
         errors = (totals < 0).astype(np.uint8)
         if np.array_equal(_syndrome_of(errors, graph), delta):
             return np.bitwise_xor(bob_key, errors)

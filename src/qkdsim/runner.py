@@ -17,11 +17,16 @@ and per sweep point, so identical master seeds give byte-identical CSVs.
 When an OTP store is attached, the factor-graph and privacy-amplification
 seeds come out of the pad (32 bytes each, plus a 32-byte authentication
 budget per session) and the finished key tops the pad back up.
+
+Settings shared by every run (lead-in, estimation fraction, alignment
+subset and search range) are module constants; ``open_outputs`` opens
+and closes the pad store and the CSV of a sweep or a single run.
 """
 
 import csv
 import dataclasses
 import os
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -49,6 +54,13 @@ from qkdsim.sync import SyncConfig, detect_start, lock_clock, sparse_align
 AUTH_BYTES_PER_SESSION = 32
 SEED_BYTES_PER_PURPOSE = 32
 SESSION_PAD_COST = AUTH_BYTES_PER_SESSION + 2 * SEED_BYTES_PER_PURPOSE
+
+LEAD_IN_S = 0.05  # idle time before the first pulse, for start detection
+SUBSET_FRACTION = 0.25  # share of the sifted key revealed to estimate the error
+# 400 revealed events keep the true-offset score clear of the extreme
+# order statistic of ~2e5 random offsets even at 6-8% error rates
+ALIGNMENT_SUBSET = 400
+SEARCH_RANGE = 100_000  # alignment offsets scanned on each side of zero
 
 
 @dataclass
@@ -113,23 +125,16 @@ class RunConfig:
     background_values: tuple = (0.0, 10000.0, 20000.0, 30000.0, 40000.0)
     out_path: str | None = None
     otp_path: str | None = None
-    lead_in_s: float = 0.05
-    subset_fraction: float = 0.25
-    # 400 revealed events keep the true-offset score clear of the extreme
-    # order statistic of ~2e5 random offsets even at 6-8% error rates
-    alignment_subset: int = 400
-    search_range: int = 100_000
-    phase_hist_path: str | None = None
 
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
-        for v in self.axis_values:
+        for v in (*self.axis_values, *self.background_values):
             if not np.isfinite(v) or v < 0:
-                raise ValueError("axis values must be finite and non-negative")
+                raise ValueError("sweep values must be finite and non-negative")
 
 
-def _base_report(params: SystemParams, duration_s, label, master_seed, rep, cfg=None):
+def _base_report(params: SystemParams, duration_s, label, master_seed, rep):
     hi, lo = rate_model.error_band(params, [params.background_rate_cps])
     return RunReport(
         background_cps=params.background_rate_cps,
@@ -151,8 +156,8 @@ def _base_report(params: SystemParams, duration_s, label, master_seed, rep, cfg=
         injected_error_rate=params.injected_error_rate,
         base_error_rate=params.base_error_rate,
         safety_margin_bits=params.safety_margin_bits,
-        lead_in_s=cfg.lead_in_s if cfg else 0.0,
-        subset_fraction=cfg.subset_fraction if cfg else 0.0,
+        lead_in_s=LEAD_IN_S,
+        subset_fraction=SUBSET_FRACTION,
     )
 
 
@@ -163,21 +168,21 @@ def run_once(
     label: str = "run",
     rep: int = 0,
     otp: OtpStore | None = None,
-    sync_cfg: SyncConfig | None = None,
-    cfg: RunConfig | None = None,
+    phase_hist_path: str | None = None,
 ) -> RunReport:
     """Execute one full key exchange and report the yield.
 
+    With ``otp`` the session's seeds come out of the pad and the final
+    key tops it up; ``phase_hist_path`` receives the clock lock's
+    residual-phase histogram.
+
     Protocol-stage failures (no start jump, lost lock, ambiguous
-    alignment, error rate above threshold, decode failure, depleted pad)
-    come back as a report with ``failure_stage``/``failure_kind`` set.
+    alignment, too little data, error rate above threshold, decode
+    failure, depleted pad) come back as a report with
+    ``failure_stage``/``failure_kind`` set.
     """
-    cfg = cfg or RunConfig(params=params, duration_s=duration_s, master_seed=master_seed)
-    if sync_cfg is None:
-        sync_cfg = SyncConfig(
-            period_s=params.pulse_period_s, gate_width_s=params.gate_width_s
-        )
-    report = _base_report(params, duration_s, label, master_seed, rep, cfg)
+    sync_cfg = SyncConfig(period_s=params.pulse_period_s, gate_width_s=params.gate_width_s)
+    report = _base_report(params, duration_s, label, master_seed, rep)
 
     def seed(stage):
         return derive_seed(master_seed, f"{label}/{stage}")
@@ -185,7 +190,7 @@ def run_once(
     stage = "budget"
     try:
         if otp is not None:
-            if not session_budget(otp, 0, SESSION_PAD_COST):
+            if not session_budget(otp, SESSION_PAD_COST):
                 raise QkdError("pad below the per-attempt reserve")
             otp.consume(AUTH_BYTES_PER_SESSION, "auth")
             fg_seed = otp.consume(SEED_BYTES_PER_PURPOSE, "fg_seed")
@@ -198,10 +203,8 @@ def run_once(
 
         stage = "photonics"
         n_pulses = int(round(duration_s * params.repetition_rate_hz))
-        total_duration = cfg.lead_in_s + n_pulses * params.pulse_period_s
-        record = generate_alice_record(
-            params, n_pulses, seed("alice"), start_time_s=cfg.lead_in_s
-        )
+        total_duration = LEAD_IN_S + n_pulses * params.pulse_period_s
+        record = generate_alice_record(params, n_pulses, seed("alice"), start_time_s=LEAD_IN_S)
         events = simulate_detections(record, params, seed("detect"))
         events = add_background(events, params, total_duration, seed("background"))
         stream = multiplex_two_channel(
@@ -218,21 +221,21 @@ def run_once(
 
         stage = "lock_clock"
         gated = lock_clock(stream, start, sync_cfg)
-        if cfg.phase_hist_path:
-            gated.write_phase_histogram(cfg.phase_hist_path)
+        if phase_hist_path:
+            gated.write_phase_histogram(phase_hist_path)
 
         stage = "sparse_align"
         rng = np_rng(seed("subset"))
-        k = min(cfg.alignment_subset, gated.n_events)
+        k = min(ALIGNMENT_SUBSET, gated.n_events)
         chosen = rng.choice(gated.n_events, size=k, replace=False) if k else np.empty(0, int)
         alignment = sparse_align(
             gated.slots[chosen],
             (gated.detectors[chosen] & 1).astype(np.uint8),
             (gated.detectors[chosen] >> 1).astype(np.uint8),
             record,
-            search_range=cfg.search_range,
+            search_range=SEARCH_RANGE,
             margin=sync_cfg.alignment_margin,
-            min_subset=min(sync_cfg.min_alignment_subset, cfg.alignment_subset),
+            min_subset=sync_cfg.min_alignment_subset,
         )
         report.start_offset_pulses = alignment.start_offset_pulses
         report.alignment_score = alignment.match_score
@@ -243,7 +246,7 @@ def run_once(
 
         stage = "estimate_error"
         error, n_est, alice_key, bob_key = estimate_error(
-            alice_key, bob_key, cfg.subset_fraction, seed("estimate"), channel
+            alice_key, bob_key, SUBSET_FRACTION, seed("estimate"), channel
         )
         report.n_rec = alice_key.n_rec
         report.n_err = alice_key.n_err
@@ -288,28 +291,6 @@ def run_once(
     return report
 
 
-def _open_writer(path):
-    fh = open(path, "w", newline="")
-    writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
-    writer.writeheader()
-    return fh, writer
-
-
-def _write_row(fh, writer, report: RunReport) -> None:
-    writer.writerow(dataclasses.asdict(report))
-    fh.flush()
-
-
-def write_reports_csv(path, reports) -> None:
-    """Write finished reports to a CSV with the standard column set."""
-    fh, writer = _open_writer(path)
-    try:
-        for report in reports:
-            _write_row(fh, writer, report)
-    finally:
-        fh.close()
-
-
 def attach_store(cfg: RunConfig):
     if cfg.otp_path is None:
         return None
@@ -321,30 +302,45 @@ def attach_store(cfg: RunConfig):
     return OtpStore.create(cfg.otp_path, pad)
 
 
+@contextmanager
+def open_outputs(cfg: RunConfig):
+    """Attach the configured pad store and open the CSV; yields (otp, emit).
+
+    ``otp`` is None without ``otp_path``. ``emit(report)`` appends one
+    row and flushes it, so an interrupted sweep keeps its finished rows;
+    without ``out_path`` it does nothing. Both close on the way out,
+    also when opening the CSV fails.
+    """
+    with ExitStack() as stack:
+        otp = attach_store(cfg)
+        if otp is not None:
+            stack.enter_context(otp)
+        writer = None
+        if cfg.out_path:
+            fh = stack.enter_context(open(cfg.out_path, "w", newline=""))
+            writer = csv.DictWriter(fh, fieldnames=REPORT_COLUMNS)
+            writer.writeheader()
+
+        def emit(report: RunReport) -> None:
+            if writer is not None:
+                writer.writerow(dataclasses.asdict(report))
+                fh.flush()
+
+        yield otp, emit
+
+
 def sweep_background(cfg: RunConfig):
     """One run per (background value, repetition); emits CSV if configured."""
     values = cfg.axis_values or (0.0, 5000.0, 10000.0, 15000.0, 20000.0, 26000.0)
-    otp = attach_store(cfg)
-    fh = writer = None
-    if cfg.out_path:
-        fh, writer = _open_writer(cfg.out_path)
     reports = []
-    try:
+    with open_outputs(cfg) as (otp, emit):
         for b in values:
             for rep in range(cfg.repetitions):
                 params = replace(cfg.params, background_rate_cps=float(b))
                 label = f"B{b:g}/rep{rep}"
-                report = run_once(
-                    params, cfg.duration_s, cfg.master_seed, label, rep, otp, cfg=cfg
-                )
+                report = run_once(params, cfg.duration_s, cfg.master_seed, label, rep, otp)
                 reports.append(report)
-                if writer:
-                    _write_row(fh, writer, report)
-    finally:
-        if fh:
-            fh.close()
-        if otp:
-            otp.close()
+                emit(report)
     return reports
 
 
@@ -355,12 +351,8 @@ def sweep_gate(cfg: RunConfig):
     group, the gate whose mean secret rate won at that background.
     """
     gates_ns = cfg.axis_values or (3.0, 5.0, 7.0)
-    otp = attach_store(cfg)
-    fh = writer = None
-    if cfg.out_path:
-        fh, writer = _open_writer(cfg.out_path)
     reports = []
-    try:
+    with open_outputs(cfg) as (otp, emit):
         for b in cfg.background_values:
             group = []
             for gate_ns in gates_ns:
@@ -372,9 +364,7 @@ def sweep_gate(cfg: RunConfig):
                     )
                     label = f"B{b:g}/g{gate_ns:g}/rep{rep}"
                     group.append(
-                        run_once(
-                            params, cfg.duration_s, cfg.master_seed, label, rep, otp, cfg=cfg
-                        )
+                        run_once(params, cfg.duration_s, cfg.master_seed, label, rep, otp)
                     )
             means = {
                 g: float(np.mean([r.secret_bits_per_s for r in group if r.gate_ns == g]))
@@ -383,12 +373,6 @@ def sweep_gate(cfg: RunConfig):
             best = max(sorted(means), key=lambda g: means[g])
             for report in group:
                 report.best_gate_ns = best
-                if writer:
-                    _write_row(fh, writer, report)
+                emit(report)
             reports.extend(group)
-    finally:
-        if fh:
-            fh.close()
-        if otp:
-            otp.close()
     return reports

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qkdsim.errors import QberAboveThreshold
+from qkdsim.errors import InsufficientData, QberAboveThreshold
 from qkdsim.photonics import AliceRecord
 from qkdsim.seeds import np_rng
 from qkdsim.sync import AlignmentResult, GatedEvents
@@ -198,7 +198,7 @@ def estimate_error(
         raise ValueError("keys must cover the same slots")
     n = len(alice_key)
     if n < min_length:
-        raise ValueError(f"key too short to estimate on: {n} < {min_length}")
+        raise InsufficientData(f"key too short to estimate on: {n} < {min_length}")
     if not 0 < subset_fraction < 1:
         raise ValueError("subset fraction must lie in (0, 1)")
 

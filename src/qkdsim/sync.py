@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qkdsim.errors import AmbiguousAlignment, LockLost, NoJumpFound
+from qkdsim.errors import AmbiguousAlignment, InsufficientData, LockLost, NoJumpFound
 from qkdsim.photonics import AliceRecord, TagStream
 
 _MIN_PEAK_TAGS = 20  # in-window tags before a bootstrap peak is trusted
@@ -378,7 +378,7 @@ def sparse_align(
     subset_bases = np.asarray(subset_bases, dtype=np.uint8)
     subset_bits = np.asarray(subset_bits, dtype=np.uint8)
     if subset_slots.size < min_subset:
-        raise ValueError(
+        raise InsufficientData(
             f"alignment subset has {subset_slots.size} events, need {min_subset}"
         )
 

@@ -75,10 +75,10 @@ def test_two_party_symmetry(tmp_path):
 
 def test_session_budget(tmp_path):
     store = make_store(tmp_path, size=200)
-    assert session_budget(store, 0, 96)
+    assert session_budget(store, 96)
     store.consume(150, "auth")
-    assert not session_budget(store, 1, 96)
-    assert session_budget(store, 1, 40)
+    assert not session_budget(store, 96)
+    assert session_budget(store, 40)
 
 
 def test_failed_attempts_burn_exactly_their_cost(tmp_path):

@@ -1,8 +1,11 @@
 """Pipeline orchestration, sweeps, CSV output and the command line."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from qkdsim import runner
 from qkdsim.cli import load_config, main
 from qkdsim.otp_store import OtpStore
 from qkdsim.params import SystemParams
@@ -16,6 +19,27 @@ from qkdsim.runner import (
 from qkdsim.seeds import parse_seed
 
 SEED = parse_seed("5eed")
+
+# Known-answer SHA-256 digests of the CSV bytes written by the tests below.
+# They depend on numpy's Generator streams (PCG64 and the distributions
+# drawn from it) as well as on the pipeline. If they ever change on
+# purpose, CHANGES.md must say why.
+SWEEP_CSV_SHA256 = (
+    "818833a989c9e55eea02b87e6639c6fc4128dfe6dd5223a6da67660467ed8747"
+)
+GATE_CSV_SHA256 = (
+    "7701e2475d85c4ab4d86822307af71d1eda5b7a4e30e1a651136c8e5efdcf4bc"
+)
+RUN_CSV_SHA256 = (
+    "cbd0df3299a6c27d45ed3765845d08720e97770e7673385d8ea86799dd47ae7a"
+)
+PHASE_HIST_SHA256 = (
+    "2b074e4cac54d7fc679f536d16ea1c97ee6e572e129d6b46d408fde6b0c6d05b"
+)
+
+
+def _sha256(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_run_once_reference_point():
@@ -72,6 +96,47 @@ def test_run_once_budget_failure(tmp_path):
     store.close()
 
 
+@pytest.mark.parametrize("duration_s", [0.005, 0.02, 0.03])
+def test_run_once_too_short_is_a_structured_failure(duration_s):
+    # 0.005 s leaves too few gated events to align on; 0.02-0.03 s align
+    # but sift too few bits to estimate the error on
+    report = run_once(SystemParams(), duration_s, parse_seed("a1b2c3"))
+    assert report.failure_stage in ("sparse_align", "estimate_error")
+    assert report.failure_kind == "InsufficientData"
+
+
+def test_sweep_background_completes_past_a_too_short_row(tmp_path):
+    out = tmp_path / "short.csv"
+    cfg = RunConfig(
+        duration_s=0.005,
+        master_seed=parse_seed("a1b2c3"),
+        axis_values=(0.0, 5000.0),
+        out_path=str(out),
+    )
+    reports = sweep_background(cfg)
+    assert len(reports) == 2
+    assert reports[0].failure_kind == "InsufficientData"
+    assert len(out.read_text().strip().splitlines()) == 3
+
+
+def test_sweep_closes_store_when_csv_cannot_open(tmp_path, monkeypatch):
+    stores = []
+
+    def attach(cfg):
+        stores.append(OtpStore.create(cfg.otp_path, bytes(256)))
+        return stores[-1]
+
+    monkeypatch.setattr(runner, "attach_store", attach)
+    cfg = RunConfig(
+        otp_path=str(tmp_path / "pad.otp"),
+        out_path=str(tmp_path / "missing" / "bg.csv"),
+        axis_values=(0.0,),
+    )
+    with pytest.raises(FileNotFoundError):
+        sweep_background(cfg)
+    assert stores[0]._fh is None
+
+
 def test_sweep_background_csv(tmp_path):
     out = tmp_path / "bg.csv"
     cfg = RunConfig(
@@ -105,6 +170,7 @@ def test_sweep_csv_byte_identical_across_runs(tmp_path):
         sweep_background(cfg)
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == SWEEP_CSV_SHA256
 
 
 def test_sweep_gate_best_gate_column(tmp_path):
@@ -120,6 +186,7 @@ def test_sweep_gate_best_gate_column(tmp_path):
     assert len(reports) == 2
     assert len({r.best_gate_ns for r in reports}) == 1
     assert reports[0].best_gate_ns in (3.0, 7.0)
+    assert _sha256(tmp_path / "gate.csv") == GATE_CSV_SHA256
 
 
 def _spearman(x, y):
@@ -200,8 +267,24 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     )
     assert rc == 0
     assert "secret_bits_per_s" in capsys.readouterr().out
-    assert out.exists()
-    assert (tmp_path / "hist.csv").exists()
+    assert _sha256(out) == RUN_CSV_SHA256
+    assert _sha256(tmp_path / "hist.csv") == PHASE_HIST_SHA256
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sweep", "gate", "--values", "3", "--backgrounds", "0,nan"],
+        ["sweep", "--sweep", "background", "--values", "0,inf"],
+        ["run", "--background", "nan"],
+        ["run", "--background", "inf"],
+    ],
+)
+def test_cli_rejects_non_finite_background_before_writing(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="finite and non-negative"):
+        main(argv + ["--out", str(out)])
+    assert not out.exists()
 
 
 def test_cli_sweep_and_config(tmp_path, capsys):
