@@ -25,6 +25,7 @@ and closes the pad store and the CSV of a sweep or a single run.
 
 import csv
 import dataclasses
+import math
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
@@ -129,9 +130,29 @@ class RunConfig:
     def __post_init__(self):
         if self.repetitions < 1:
             raise ValueError("need at least one repetition")
+        _pulse_count(self.params, self.duration_s)
         for v in (*self.axis_values, *self.background_values):
             if not np.isfinite(v) or v < 0:
                 raise ValueError("sweep values must be finite and non-negative")
+        gates_s = [self.params.gate_width_s]
+        if self.sweep_axis == "gate":
+            gates_s += [float(g) * 1e-9 for g in self.axis_values]
+        for gate_s in gates_s:
+            _sync_config(replace(self.params, gate_width_s=gate_s))
+
+
+def _pulse_count(params: SystemParams, duration_s: float) -> int:
+    """Pulses sent in ``duration_s``; a duration that is not finite or
+    spans no pulse raises ValueError."""
+    n = int(round(duration_s * params.repetition_rate_hz)) if math.isfinite(duration_s) else 0
+    if n < 1:
+        raise ValueError(f"duration must be finite and span at least one pulse, got {duration_s}")
+    return n
+
+
+def _sync_config(params: SystemParams) -> SyncConfig:
+    """The receiver settings of a run; raises ValueError for a gate they cannot use."""
+    return SyncConfig(period_s=params.pulse_period_s, gate_width_s=params.gate_width_s)
 
 
 def _base_report(params: SystemParams, duration_s, label, master_seed, rep):
@@ -179,9 +200,11 @@ def run_once(
     Protocol-stage failures (no start jump, lost lock, ambiguous
     alignment, too little data, error rate above threshold, decode
     failure, depleted pad) come back as a report with
-    ``failure_stage``/``failure_kind`` set.
+    ``failure_stage``/``failure_kind`` set. A duration spanning no pulse
+    or a gate at or above the demux delay raises ValueError first.
     """
-    sync_cfg = SyncConfig(period_s=params.pulse_period_s, gate_width_s=params.gate_width_s)
+    n_pulses = _pulse_count(params, duration_s)
+    sync_cfg = _sync_config(params)
     report = _base_report(params, duration_s, label, master_seed, rep)
 
     def seed(stage):
@@ -202,7 +225,6 @@ def run_once(
             pa_offset = 0
 
         stage = "photonics"
-        n_pulses = int(round(duration_s * params.repetition_rate_hz))
         total_duration = LEAD_IN_S + n_pulses * params.pulse_period_s
         record = generate_alice_record(params, n_pulses, seed("alice"), start_time_s=LEAD_IN_S)
         events = simulate_detections(record, params, seed("detect"))

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qkdsim.errors import InsufficientData, QberAboveThreshold
-from qkdsim.photonics import AliceRecord
+from qkdsim.photonics import AliceRecord, state_bases, state_bits
 from qkdsim.seeds import np_rng
 from qkdsim.sync import AlignmentResult, GatedEvents
 
@@ -124,15 +124,11 @@ def sift(
     single = ~np.isin(slots, multi_fire)
     revealed = np.isin(slots, alignment.subset_slots)
 
-    def _matched_mask(sel):
-        a_idx = slots[sel] + offset
-        valid = (a_idx >= 0) & (a_idx < alice.n_pulses)
-        out = np.zeros(int(sel.sum()), dtype=bool)
-        idx_safe = np.clip(a_idx, 0, alice.n_pulses - 1)
-        out[valid] = (
-            alice.bases[idx_safe] == (dets[sel] & 1).astype(np.uint8)
-        )[valid]
-        return out
+    # Alice's state at every event's pulse, read once
+    a_idx = slots + offset
+    in_record = (a_idx >= 0) & (a_idx < alice.n_pulses)
+    a_states = alice.states[np.clip(a_idx, 0, alice.n_pulses - 1)]
+    basis_match = in_record & (state_bases(a_states) == (dets & 1))
 
     if channel is not None:
         payload = (
@@ -142,20 +138,17 @@ def sift(
         )
         channel.send("bob", MSG_BASIS_ANNOUNCE, payload)
 
-    keep = single & ~revealed
-    matched_keep = np.zeros(slots.size, dtype=bool)
-    matched_keep[keep] = _matched_mask(keep)
+    matched_keep = single & ~revealed & basis_match
 
     # revealed single-fire events that would have been key bits
-    reveal_sel = single & revealed
-    revealed_matched_slots = slots[reveal_sel][_matched_mask(reveal_sel)]
+    revealed_matched_slots = slots[single & revealed & basis_match]
     n_revealed_matched = int(revealed_matched_slots.size)
 
     kept_slots = slots[matched_keep]
     order = np.argsort(kept_slots, kind="stable")
     kept_slots = kept_slots[order]
     bob_bits = (dets[matched_keep][order] >> 1).astype(np.uint8)
-    alice_bits = alice.bits[kept_slots + offset]
+    alice_bits = state_bits(a_states[matched_keep][order])
 
     if channel is not None:
         channel.send(

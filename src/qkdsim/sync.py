@@ -355,8 +355,38 @@ def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvent
 # ---------------------------------------------------------------------------
 # alignment
 
-_OFFSET_CHUNK = 8192
 _MIN_MATCHED_FOR_SCORE = 20
+
+
+def _offset_scores(
+    subset_slots: np.ndarray,
+    subset_bases: np.ndarray,
+    subset_bits: np.ndarray,
+    alice: AliceRecord,
+    search_range: int,
+) -> np.ndarray:
+    """Agreement score at each offset in [-search_range, search_range].
+
+    Event (s, b, v) meets Alice's pulse s + o at offset o, so for every
+    event one slice of her record adds its basis matches and its
+    agreements to the per-offset counters; slots whose pulse falls
+    outside the record add nothing. Offsets with fewer than
+    ``_MIN_MATCHED_FOR_SCORE`` basis matches score 0.
+    """
+    states = alice.states
+    n = states.size
+    matched = np.zeros(2 * search_range + 1, dtype=np.int32)
+    agree = np.zeros_like(matched)
+    for s, b, v in zip(subset_slots.tolist(), subset_bases.tolist(), subset_bits.tolist()):
+        a0 = max(s - search_range, 0)
+        a1 = min(s + search_range + 1, n)
+        if a0 >= a1 or b > 1:  # a basis outside {0, 1} matches no pulse
+            continue
+        seg = states[a0:a1]
+        c0 = a0 - (s - search_range)
+        matched[c0 : c0 + seg.size] += (seg & 1) == b
+        agree[c0 : c0 + seg.size] += seg == (v << 1 | b)
+    return np.where(matched >= _MIN_MATCHED_FOR_SCORE, agree / np.maximum(matched, 1), 0.0)
 
 
 def sparse_align(
@@ -382,25 +412,7 @@ def sparse_align(
             f"alignment subset has {subset_slots.size} events, need {min_subset}"
         )
 
-    alice_bases = alice.bases
-    alice_bits = alice.bits
-    n = alice.n_pulses
-    offsets = np.arange(-search_range, search_range + 1, dtype=np.int64)
-    scores = np.zeros(offsets.size)
-
-    for lo in range(0, offsets.size, _OFFSET_CHUNK):
-        chunk = offsets[lo : lo + _OFFSET_CHUNK]
-        idx = subset_slots[None, :] + chunk[:, None]
-        valid = (idx >= 0) & (idx < n)
-        idx_safe = np.clip(idx, 0, n - 1)
-        basis_match = valid & (alice_bases[idx_safe] == subset_bases[None, :])
-        agree = basis_match & (alice_bits[idx_safe] == subset_bits[None, :])
-        matched = basis_match.sum(axis=1)
-        good = matched >= _MIN_MATCHED_FOR_SCORE
-        with np.errstate(invalid="ignore"):
-            s = np.where(good, agree.sum(axis=1) / np.maximum(matched, 1), 0.0)
-        scores[lo : lo + chunk.size] = s
-
+    scores = _offset_scores(subset_slots, subset_bases, subset_bits, alice, search_range)
     order = np.argsort(scores)
     best = int(order[-1])
     runner = float(scores[order[-2]]) if scores.size > 1 else 0.0
@@ -410,7 +422,7 @@ def sparse_align(
             f"top scores {best_score:.3f} vs {runner:.3f} within margin {margin}"
         )
     return AlignmentResult(
-        start_offset_pulses=int(offsets[best]),
+        start_offset_pulses=best - search_range,
         match_score=best_score,
         runner_up_score=runner,
         subset_slots=subset_slots,

@@ -1,5 +1,6 @@
 """Yield-bound arithmetic against independent oracles, and the Toeplitz hash."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -15,7 +16,7 @@ from qkdsim.privacy import (
     toeplitz_hash,
     yield_length,
 )
-from qkdsim.seeds import derive_seed
+from qkdsim.seeds import HashStream, derive_seed
 
 SEED = derive_seed(bytes(32), "privacy-tests")
 
@@ -160,3 +161,54 @@ def test_compress_deterministic_across_parties():
     assert not np.array_equal(
         compress(key, 200, SEED), compress(key, 200, derive_seed(SEED, "other"))
     )
+
+
+def convolve_reference(key_bits, out_len, diagonal_bits):
+    """Direct-convolution oracle: y_i = sum_j d[n-1+i-j] x_j mod 2."""
+    n = key_bits.size
+    full = np.convolve(diagonal_bits.astype(np.int64), key_bits.astype(np.int64))
+    return (full[n - 1 : n - 1 + out_len] & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "n,m", [(1, 1), (2, 1), (2, 2), (7, 3), (64, 64), (1000, 1), (1000, 999), (12_450, 4_960)]
+)
+def test_toeplitz_hash_matches_convolution_reference(n, m):
+    rng = np.random.default_rng(n * 7919 + m)
+    key = rng.integers(0, 2, n).astype(np.uint8)
+    diag = rng.integers(0, 2, n + m - 1).astype(np.uint8)
+    out = toeplitz_hash(key, m, diag)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, convolve_reference(key, m, diag))
+
+
+@pytest.mark.parametrize("n", [150_000, 149_999])
+def test_toeplitz_hash_all_ones_worst_case(n):
+    # every exact entry is n, the largest value the product can reach,
+    # so this is where float rounding has the least room
+    m = 60_000
+    out = toeplitz_hash(np.ones(n, np.uint8), m, np.ones(n + m - 1, np.uint8))
+    assert np.array_equal(out, np.full(m, n & 1, dtype=np.uint8))
+
+
+def test_toeplitz_hash_rejects_wrong_diagonal_length():
+    with pytest.raises(LengthInvalid):
+        toeplitz_hash(np.ones(10, np.uint8), 4, np.ones(12, np.uint8))
+
+
+def test_toeplitz_hash_of_empty_key_is_zero():
+    out = toeplitz_hash(np.empty(0, np.uint8), 3, np.zeros(2, np.uint8))
+    assert np.array_equal(out, np.zeros(3, np.uint8))
+
+
+# Known answer for the Toeplitz contract (README, "Deterministic
+# derivations"): compress() of a HashStream key, packed MSB-first.
+COMPRESS_KEY_LEN, COMPRESS_OUT_LEN = 12_450, 4_960
+COMPRESS_SHA256 = "72c2414b5f0f402a05fdcde9a2f73a656e8ddb2f960b7bcc6cac3d9397160bdc"
+
+
+def test_compress_known_answer():
+    key = HashStream(derive_seed(SEED, "kat-key")).bits(COMPRESS_KEY_LEN)
+    out = compress(key, COMPRESS_OUT_LEN, derive_seed(SEED, "kat-pa"))
+    assert out.size == COMPRESS_OUT_LEN
+    assert hashlib.sha256(np.packbits(out).tobytes()).hexdigest() == COMPRESS_SHA256

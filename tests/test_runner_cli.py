@@ -287,6 +287,36 @@ def test_cli_rejects_non_finite_background_before_writing(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--sweep", "gate", "--values", "3,45", "--backgrounds", "0"],
+        ["sweep", "--sweep", "background", "--values", "0", "--gate-ns", "40"],
+        ["run", "--gate-ns", "45"],
+    ],
+)
+def test_cli_rejects_gate_at_demux_delay_before_writing(tmp_path, argv):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="below the demux delay"):
+        main(argv + ["--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf", "1e-8"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--sweep", "background", "--values", "0"]])
+def test_cli_rejects_duration_without_pulses_before_writing(tmp_path, command, duration):
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="span at least one pulse"):
+        main(command + ["--duration", duration, "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("duration_s", [0.0, -1.0, float("nan")])
+def test_run_once_rejects_duration_without_pulses(duration_s):
+    with pytest.raises(ValueError, match="span at least one pulse"):
+        run_once(SystemParams(), duration_s, SEED)
+
+
 def test_cli_sweep_and_config(tmp_path, capsys):
     cfg_file = tmp_path / "sweep.cfg"
     cfg_file.write_text("duration = 0.2\nseed = 77\n")

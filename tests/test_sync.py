@@ -17,8 +17,10 @@ from qkdsim.photonics import (
 )
 from qkdsim.seeds import derive_seed
 from qkdsim.sync import (
+    _MIN_MATCHED_FOR_SCORE,
     SyncConfig,
     _gate_assign,
+    _offset_scores,
     detect_start,
     lock_clock,
     sparse_align,
@@ -260,3 +262,81 @@ def test_sparse_align_enforces_minimum_subset():
         sparse_align(
             np.arange(100), np.zeros(100, np.uint8), np.zeros(100, np.uint8), rec
         )
+
+
+# -- alignment scores against the chunked reference ---------------------------
+
+
+def _reference_scores(subset_slots, subset_bases, subset_bits, alice, search_range):
+    """The original scorer: index/compare tensors over 8192 offsets per chunk."""
+    alice_bases = alice.bases
+    alice_bits = alice.bits
+    n = alice.n_pulses
+    offsets = np.arange(-search_range, search_range + 1, dtype=np.int64)
+    scores = np.zeros(offsets.size)
+    for lo in range(0, offsets.size, 8192):
+        chunk = offsets[lo : lo + 8192]
+        idx = subset_slots[None, :] + chunk[:, None]
+        valid = (idx >= 0) & (idx < n)
+        idx_safe = np.clip(idx, 0, n - 1)
+        basis_match = valid & (alice_bases[idx_safe] == subset_bases[None, :])
+        agree = basis_match & (alice_bits[idx_safe] == subset_bits[None, :])
+        matched = basis_match.sum(axis=1)
+        good = matched >= _MIN_MATCHED_FOR_SCORE
+        with np.errstate(invalid="ignore"):
+            s = np.where(good, agree.sum(axis=1) / np.maximum(matched, 1), 0.0)
+        scores[lo : lo + chunk.size] = s
+    return scores
+
+
+def pipeline_subset(background_cps, label, duration_s=0.3, k=400):
+    """The revealed subset run_once would draw, from a short simulated run."""
+    params = SystemParams(background_rate_cps=background_cps)
+    stream, rec = signal_stream(
+        label, n_pulses=int(duration_s / params.pulse_period_s), params=params,
+        skew_ppm=params.clock_skew_ppm,
+    )
+    cfg = SyncConfig()
+    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    chosen = np.random.default_rng(11).choice(gated.n_events, size=k, replace=False)
+    dets = gated.detectors[chosen]
+    return gated.slots[chosen], (dets & 1).astype(np.uint8), (dets >> 1).astype(np.uint8), rec
+
+
+def assert_scores_match(slots, bases, bits, rec, search_range):
+    args = (
+        np.asarray(slots, dtype=np.int64),
+        np.asarray(bases, dtype=np.uint8),
+        np.asarray(bits, dtype=np.uint8),
+        rec,
+        search_range,
+    )
+    reference = _reference_scores(*args)
+    assert _offset_scores(*args).tobytes() == reference.tobytes()
+    return reference
+
+
+@pytest.mark.parametrize("background_cps", [0.0, 50_000.0])
+def test_offset_scores_match_reference_on_pipeline_subsets(background_cps):
+    slots, bases, bits, rec = pipeline_subset(background_cps, f"ref{background_cps:g}")
+    scores = assert_scores_match(slots, bases, bits, rec, 100_000)
+    assert scores.max() > 0.5
+
+
+def test_offset_scores_match_reference_with_slots_outside_the_record():
+    rec = generate_alice_record(SystemParams(), 60_000, seed("ref-out"))
+    rng = np.random.default_rng(12)
+    slots = rng.integers(-20_000, 80_000, 400)
+    bases = rng.integers(0, 2, 400)
+    bits = rng.integers(0, 2, 400)
+    assert (slots < 0).any() and (slots >= rec.n_pulses).any()
+    assert_scores_match(slots, bases, bits, rec, 30_000)
+
+
+def test_offset_scores_match_reference_on_a_record_shorter_than_the_search():
+    rec = generate_alice_record(SystemParams(), 3_000, seed("ref-short"))
+    rng = np.random.default_rng(13)
+    idx = rng.choice(rec.n_pulses, size=250, replace=False)
+    slots = idx - 700
+    scores = assert_scores_match(slots, rec.bases[idx], rec.bits[idx], rec, 5_000)
+    assert int(np.argmax(scores)) - 5_000 == 700
