@@ -38,8 +38,13 @@ class SystemParams:
     injected_error_rate: float = 0.0  # extra disturbance knob (eavesdropper-style)
 
     def __post_init__(self):
+        if not (math.isfinite(self.repetition_rate_hz) and self.repetition_rate_hz > 0):
+            raise ValueError("repetition rate must be finite and positive")
+        derived_period_s = 1.0 / self.repetition_rate_hz
         if self.pulse_period_s == 0.0:
-            object.__setattr__(self, "pulse_period_s", 1.0 / self.repetition_rate_hz)
+            object.__setattr__(self, "pulse_period_s", derived_period_s)
+        elif not math.isclose(self.pulse_period_s, derived_period_s, rel_tol=1e-9, abs_tol=0.0):
+            raise ValueError("pulse period must equal 1 / repetition rate (or be 0 to derive it)")
         if not self.mean_photon_number > 0:
             raise ValueError("mean photon number must be positive")
         if not 0 < self.channel_transmission <= 1:
@@ -59,6 +64,8 @@ class SystemParams:
                 raise ValueError("each base BER must lie in [0, 0.5)")
         if not 0 <= self.injected_error_rate < 0.5:
             raise ValueError("injected error rate must lie in [0, 0.5)")
+        if self.safety_margin_bits < 0:
+            raise ValueError("safety margin cannot be negative")
 
     @property
     def base_error_rate(self) -> float:

@@ -96,41 +96,38 @@ def build_factor_graph(n: int, target_rate: float, seed: bytes) -> FactorGraph:
     if m < VARIABLE_DEGREE + 1 or m >= n:
         raise RateInfeasible(f"rate {target_rate} gives {m} checks for {n} bits")
 
-    stream = HashStream(seed)
-    slots = np.repeat(np.arange(n, dtype=np.int64), VARIABLE_DEGREE)
-    n_edges = slots.size
-    for i in range(n_edges - 1, 0, -1):  # Fisher-Yates over edge slots
-        j = stream.below(i + 1)
+    # Fisher-Yates over edge slots; below_many gives exactly the draws of
+    # successive stream.below(i + 1) calls for i = 3n - 1, ..., 1.
+    n_edges = VARIABLE_DEGREE * n
+    draws = HashStream(seed).below_many(np.arange(n_edges, 1, -1)).tolist()
+    slots = np.repeat(np.arange(n), VARIABLE_DEGREE).tolist()
+    for i, j in zip(range(n_edges - 1, 0, -1), draws):
         slots[i], slots[j] = slots[j], slots[i]
 
+    # Edge (check c, variable v) is the key c * n + v. A position whose key
+    # already occurred earlier in the same check is a duplicate.
     bounds = (np.arange(m + 1, dtype=np.int64) * n_edges) // m
-    members = [set() for _ in range(m)]
-    spilled = []
-    for c in range(m):
-        for p in range(bounds[c], bounds[c + 1]):
-            v = int(slots[p])
-            if v in members[c]:
-                spilled.append((c, v))
-            else:
-                members[c].add(v)
-    # Spill and refill: each duplicate moves to the next check (cyclically
-    # from where it collided) that lacks the variable. A variable belongs
-    # to at most 3 checks, so this always lands.
-    for c0, v in spilled:
+    keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(bounds)) * n + slots
+    firsts, first_pos = np.unique(keys, return_index=True)
+    is_dup = np.ones(n_edges, dtype=bool)
+    is_dup[first_pos] = False
+    # Spill and refill: each duplicate, in position order, moves to the next
+    # check (cyclically from where it collided) that lacks the variable. A
+    # variable belongs to at most 3 checks, so this always lands.
+    members = set(firsts.tolist())
+    refilled = []
+    for key in keys[is_dup].tolist():
+        c0, v = divmod(key, n)
         for step in range(1, m + 1):
-            c = (c0 + step) % m
-            if v not in members[c]:
-                members[c].add(v)
+            moved = (c0 + step) % m * n + v
+            if moved not in members:
+                members.add(moved)
+                refilled.append(moved)
                 break
 
-    check_index = []
-    var_index = []
-    for c in range(m):
-        for v in sorted(members[c]):
-            check_index.append(c)
-            var_index.append(v)
-    check_index = np.asarray(check_index, dtype=np.int64)
-    var_index = np.asarray(var_index, dtype=np.int64)
+    edges = np.sort(np.concatenate([firsts, np.array(refilled, dtype=np.int64)]))
+    check_index = edges // n
+    var_index = edges % n
     counts = np.bincount(check_index, minlength=m)
     ptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     return FactorGraph(

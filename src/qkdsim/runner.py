@@ -151,7 +151,8 @@ def _pulse_count(params: SystemParams, duration_s: float) -> int:
 
 
 def _sync_config(params: SystemParams) -> SyncConfig:
-    """The receiver settings of a run; raises ValueError for a gate they cannot use."""
+    """The receiver settings of a run; raises ValueError for a gate or a
+    pulse period they cannot use."""
     return SyncConfig(period_s=params.pulse_period_s, gate_width_s=params.gate_width_s)
 
 
@@ -200,8 +201,9 @@ def run_once(
     Protocol-stage failures (no start jump, lost lock, ambiguous
     alignment, too little data, error rate above threshold, decode
     failure, depleted pad) come back as a report with
-    ``failure_stage``/``failure_kind`` set. A duration spanning no pulse
-    or a gate at or above the demux delay raises ValueError first.
+    ``failure_stage``/``failure_kind`` set. A duration spanning no pulse,
+    a gate at or above the demux delay, or a pulse period at or below
+    twice that delay raises ValueError first.
     """
     n_pulses = _pulse_count(params, duration_s)
     sync_cfg = _sync_config(params)

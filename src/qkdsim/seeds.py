@@ -49,13 +49,20 @@ class HashStream:
         self._counter = 0
         self._buf = bytearray()
 
+    def _fill(self, n: int) -> None:
+        """Hash, in one pass, the blocks that bring the buffer to n bytes."""
+        short = n - len(self._buf)
+        if short <= 0:
+            return
+        first = self._counter
+        self._counter += -(-short // 32)
+        self._buf += b"".join(
+            hashlib.sha256(self._seed + k.to_bytes(8, "big")).digest()
+            for k in range(first, self._counter)
+        )
+
     def take(self, n: int) -> bytes:
-        while len(self._buf) < n:
-            block = hashlib.sha256(
-                self._seed + self._counter.to_bytes(8, "big")
-            ).digest()
-            self._counter += 1
-            self._buf.extend(block)
+        self._fill(n)
         out = bytes(self._buf[:n])
         del self._buf[:n]
         return out
@@ -72,6 +79,30 @@ class HashStream:
             u = self.u64()
             if u < limit:
                 return u % n
+
+    def below_many(self, bounds) -> np.ndarray:
+        """``[self.below(b) for b in bounds]`` as a uint64 array, in bulk.
+
+        The draws for all bounds are hashed at once and reduced with one
+        vectorised ``u % b``. A draw ``below`` would reject (u at or above
+        the largest multiple of b that fits in 2^64) ends the bulk part;
+        from there on the draws go through ``below`` one at a time. The
+        values and the stream position afterwards are therefore exactly
+        those of successive ``below`` calls. Bounds must lie in [1, 2^64).
+        """
+        bounds = np.asarray(bounds, dtype=np.uint64)
+        if bounds.size and not bounds.min() > 0:
+            raise ValueError("bound must be positive")
+        k = bounds.size
+        self._fill(8 * k)
+        u = np.frombuffer(bytes(self._buf[: 8 * k]), dtype=">u8").astype(np.uint64)
+        top = np.uint64(2**64 - 1)
+        rem = (top % bounds + np.uint64(1)) % bounds  # 2^64 mod b
+        rejected = u > top - rem
+        ok = int(rejected.argmax()) if rejected.any() else k
+        del self._buf[: 8 * ok]
+        tail = [self.below(int(b)) for b in bounds[ok:]]
+        return np.concatenate([u[:ok] % bounds[:ok], np.array(tail, dtype=np.uint64)])
 
     def bits(self, n: int) -> np.ndarray:
         """Next n bits of the stream, MSB-first within each byte."""

@@ -48,6 +48,8 @@ class SyncConfig:
     def __post_init__(self):
         if not self.gate_width_s < self.demux_delay_s:
             raise ValueError("gate width must stay below the demux delay")
+        if not self.demux_delay_s < self.period_s / 2:
+            raise ValueError("demux delay must stay below half the pulse period")
         if not self.drift_update_interval_s > 0:
             raise ValueError("drift update interval must be positive")
         if self.start_detect_window < 4:
@@ -250,7 +252,11 @@ def _bootstrap_window(t, period, delay, gate, cfg):
 
 
 def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvents:
-    """Lock to the pulse grid from ``start_s`` onward and gate the stream."""
+    """Lock to the pulse grid from ``start_s`` onward and gate the stream.
+
+    ``stream.times_s`` must be ascending, as ``multiplex_two_channel``
+    and ``TagStream.from_text`` produce it.
+    """
     period, gate, delay = cfg.period_s, cfg.gate_width_s, cfg.demux_delay_s
     picked = np.flatnonzero(stream.times_s >= start_s)
     if picked.size < cfg.min_tags_per_interval:
@@ -291,12 +297,15 @@ def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvent
     track_times, track_phases = [], []
     out_slots, out_dets, out_idx = [], [], []
 
+    # t is sorted, so each interval [lo, hi) is one slice of it
     n_intervals = int(np.ceil(horizon / cfg.drift_update_interval_s)) or 1
     for k in range(n_intervals):
         lo = k * cfg.drift_update_interval_s
         hi = lo + cfg.drift_update_interval_s
-        m = (t >= lo) & (t < hi) if k < n_intervals - 1 else (t >= lo)
-        count = int(m.sum())
+        first = int(np.searchsorted(t, lo))
+        end = int(np.searchsorted(t, hi)) if k < n_intervals - 1 else t.size
+        m = slice(first, end)
+        count = end - first
         if count == 0:
             continue
         tc = tau0 + (t[m] - tau0) / (1.0 + alpha)

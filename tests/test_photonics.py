@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from qkdsim import photonics
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     ORIGIN_BACKGROUND,
     ORIGIN_SIGNAL,
+    DetectionEvents,
     TagStream,
     add_background,
     add_background_per_detector,
@@ -14,7 +16,7 @@ from qkdsim.photonics import (
     multiplex_two_channel,
     simulate_detections,
 )
-from qkdsim.seeds import derive_seed
+from qkdsim.seeds import derive_seed, np_rng
 
 MASTER = bytes(range(32))
 
@@ -54,6 +56,86 @@ def test_simulate_no_photons_gives_no_signal():
     rec = generate_alice_record(params, 10_000, seed("mu0"))
     events = simulate_detections(rec, params, seed("mu0d"))
     assert events.n_events == 0
+
+
+def _reference_simulate_detections(record, params, seed):
+    """One Poisson and one binomial draw over every pulse, then the routing."""
+    rng = np_rng(seed)
+    n = record.n_pulses
+    photons = rng.poisson(params.mean_photon_number, n)
+    survivors = rng.binomial(photons, params.channel_transmission * params.detection_efficiency)
+    pulse_idx = np.repeat(np.arange(n, dtype=np.int64), survivors)
+    k = pulse_idx.size
+    if k == 0:
+        return DetectionEvents(
+            np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8), np.empty(0, np.int64)
+        )
+    states = record.states[pulse_idx]
+    port = rng.integers(0, 4, size=k, dtype=np.uint8)
+    matched = port == states
+    conjugate = ((port ^ states) & 1) == 1
+    registers = matched | (conjugate & (rng.random(k) < 0.5))
+    ber = np.asarray(params.base_ber_per_channel, dtype=np.float64)
+    orthogonal = states ^ 2
+    flip = matched & (rng.random(k) < ber[orthogonal])
+    detectors = np.where(flip, orthogonal, port).astype(np.uint8)
+    if params.injected_error_rate > 0:
+        inject = matched & registers & (rng.random(k) < params.injected_error_rate)
+        detectors = np.where(inject, detectors ^ 2, detectors).astype(np.uint8)
+    times = (
+        record.start_time_s
+        + pulse_idx * record.pulse_period_s
+        + rng.normal(0.0, params.pulse_jitter_rms_s, k)
+    )
+    return DetectionEvents(
+        times_s=times[registers],
+        detectors=detectors[registers],
+        origins=np.full(int(registers.sum()), ORIGIN_SIGNAL, dtype=np.uint8),
+        pulses=pulse_idx[registers],
+    ).sorted_by_time()
+
+
+def _assert_same_events(got, want):
+    for name in ("times_s", "detectors", "origins", "pulses"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize(
+    "n_pulses, label, overrides",
+    [
+        (1_500_000, "a", {}),
+        (2_600_001, "b", {}),  # 2.48 chunks: a short last chunk
+        (500_000, "c", {"injected_error_rate": 0.05}),
+        (300_000, "d", {"mean_photon_number": 2.5}),
+        (200_000, "e", {"mean_photon_number": 2.5, "detection_efficiency": 1.0}),
+        (2_000, "f", {"mean_photon_number": 300.0, "detection_efficiency": 0.01}),  # counts >= 256
+    ],
+)
+def test_simulate_detections_matches_single_draw_reference(n_pulses, label, overrides):
+    params = SystemParams(**overrides)
+    rec = generate_alice_record(params, n_pulses, seed("ref" + label), start_time_s=0.05)
+    got = simulate_detections(rec, params, seed("refd" + label))
+    assert got.n_events > 0
+    _assert_same_events(got, _reference_simulate_detections(rec, params, seed("refd" + label)))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_simulate_detections_chunk_size_does_not_change_events(monkeypatch, chunk):
+    params = SystemParams(mean_photon_number=2.5, injected_error_rate=0.05)
+    rec = generate_alice_record(params, 12_345, seed("chunks"))
+    want = _reference_simulate_detections(rec, params, seed("chunksd"))
+    monkeypatch.setattr(photonics, "SAMPLE_CHUNK", chunk)
+    _assert_same_events(simulate_detections(rec, params, seed("chunksd")), want)
+
+
+def test_simulate_detections_without_detections_matches_reference():
+    params = SystemParams(mean_photon_number=1e-9)
+    rec = generate_alice_record(params, 3_000_000, seed("dark"))
+    got = simulate_detections(rec, params, seed("darkd"))
+    assert got.n_events == 0
+    _assert_same_events(got, _reference_simulate_detections(rec, params, seed("darkd")))
 
 
 def test_sifted_signal_rate_matches_closed_form():

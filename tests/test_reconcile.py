@@ -1,7 +1,11 @@
 """Factor-graph construction, syndrome algebra and BP decoding."""
 
+import hashlib
+
 import numpy as np
 import pytest
+
+import qkdsim.reconcile as rec
 
 from qkdsim.errors import (
     DecodeFailure,
@@ -19,9 +23,81 @@ from qkdsim.reconcile import (
     rate_for_error,
     reconcile_keys,
 )
-from qkdsim.seeds import derive_seed
+from qkdsim.seeds import HashStream, derive_seed
 
 SEED = derive_seed(bytes(32), "reconcile-tests")
+
+# Known answers of the graph contract in README.md, recorded before the
+# batched construction: (n, rate) -> (adjacency_digest, SHA-256 of
+# check_ptr as little-endian int64, m, edges).
+GRAPH_KNOWN_ANSWERS = {
+    (1024, 0.5): (
+        "94b163323fb335369dacc31d34a9105a659d49d57a68db673e601e290e8353ed",
+        "87053e387454a4f118fed1e8619a83e688151682fffd109e565a891b8619e6a9",
+        512,
+        3072,
+    ),
+    (12_000, 0.68): (
+        "8b0e4c95736d15b6cbf7b875eba210792cfe4db26d3c998df410d9680e419f7c",
+        "cb9b7d9e104fa365969c7920abeca02dbbe068e1831a18107c511dae26ccbb8d",
+        3840,
+        36000,
+    ),
+    (65_536, 0.53): (
+        "952cbc61fa6ad8576590e511c4db2d493e8c423eb44f1cd55f74dd87708146a5",
+        "9ef8f43bda2d7b3d464d2de8546bf4721fb42144212a2d9d8084c7b7ac87ea5b",
+        30802,
+        196608,
+    ),
+}
+# the zero-padded 256-bit block reconcile_keys builds for a 200-bit key
+PADDED_BLOCK_KNOWN_ANSWER = (
+    "25ab88647147b548a2f9590fe3c42f7a230454fe49a7343e3d72a87486ff4219",
+    "637824aa4d0b723a5e1259e5a3c983dca0a00f542041a75a5da403a221276c24",
+    102,
+    768,
+)
+
+
+def _fingerprint(g):
+    ptr_digest = hashlib.sha256(g.check_ptr.astype("<i8").tobytes()).hexdigest()
+    return g.adjacency_digest().hex(), ptr_digest, g.m, g.n_edges
+
+
+def _reference_build_factor_graph(n, target_rate, seed):
+    """The draw-by-draw construction the README contract describes."""
+    m = int(round(n * (1.0 - target_rate)))
+    stream = HashStream(seed)
+    slots = np.repeat(np.arange(n, dtype=np.int64), 3)
+    n_edges = slots.size
+    for i in range(n_edges - 1, 0, -1):
+        j = stream.below(i + 1)
+        slots[i], slots[j] = slots[j], slots[i]
+    bounds = (np.arange(m + 1, dtype=np.int64) * n_edges) // m
+    members = [set() for _ in range(m)]
+    spilled = []
+    for c in range(m):
+        for p in range(bounds[c], bounds[c + 1]):
+            v = int(slots[p])
+            if v in members[c]:
+                spilled.append((c, v))
+            else:
+                members[c].add(v)
+    for c0, v in spilled:
+        for step in range(1, m + 1):
+            c = (c0 + step) % m
+            if v not in members[c]:
+                members[c].add(v)
+                break
+    check_index, var_index = [], []
+    for c in range(m):
+        for v in sorted(members[c]):
+            check_index.append(c)
+            var_index.append(v)
+    check_index = np.asarray(check_index, dtype=np.int64)
+    var_index = np.asarray(var_index, dtype=np.int64)
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(check_index, minlength=m))]).astype(np.int64)
+    return check_index, var_index, ptr
 
 
 def test_graph_deterministic():
@@ -29,6 +105,42 @@ def test_graph_deterministic():
     b = build_factor_graph(1024, 0.5, SEED)
     assert a.adjacency_digest() == b.adjacency_digest()
     assert np.array_equal(a.var_index, b.var_index)
+
+
+@pytest.mark.parametrize("n, rate", sorted(GRAPH_KNOWN_ANSWERS))
+def test_graph_known_answer(n, rate):
+    assert _fingerprint(build_factor_graph(n, rate, SEED)) == GRAPH_KNOWN_ANSWERS[(n, rate)]
+
+
+def test_padded_block_graph_known_answer(monkeypatch):
+    built = []
+
+    def spy(n, target_rate, seed):
+        graph = build_factor_graph(n, target_rate, seed)
+        built.append(graph)
+        return graph
+
+    monkeypatch.setattr(rec, "build_factor_graph", spy)
+    rng = np.random.default_rng(31)
+    alice = rng.integers(0, 2, 200).astype(np.uint8)
+    bob = alice ^ (rng.random(200) < 0.02).astype(np.uint8)
+    rec.reconcile_keys(alice, bob, 0.02, SEED)
+    assert [_fingerprint(g) for g in built] == [PADDED_BLOCK_KNOWN_ANSWER]
+
+
+@pytest.mark.parametrize(
+    "n, rate, label",
+    [(256, 0.2, "a"), (256, 0.85, "b"), (300, 0.5, "c"), (1000, 0.6, "d"),
+     (4096, 0.32, "e"), (10_000, 0.74, "f"), (10_000, 0.22, "g")],
+)
+def test_graph_matches_draw_by_draw_reference(n, rate, label):
+    seed = derive_seed(SEED, f"reference-{label}")
+    g = build_factor_graph(n, rate, seed)
+    check_index, var_index, ptr = _reference_build_factor_graph(n, rate, seed)
+    assert g.check_index.dtype == g.var_index.dtype == g.check_ptr.dtype == np.int64
+    assert np.array_equal(g.check_index, check_index)
+    assert np.array_equal(g.var_index, var_index)
+    assert np.array_equal(g.check_ptr, ptr)
 
 
 def test_graph_check_count_arithmetic():

@@ -351,3 +351,37 @@ def test_cli_otp_subcommands(tmp_path, capsys):
     store.close()
     assert main(["otp", "ledger", "--otp", str(path)]) == 0
     assert "auth" in capsys.readouterr().out
+
+
+def test_params_reject_negative_safety_margin():
+    assert SystemParams(safety_margin_bits=0).safety_margin_bits == 0
+    with pytest.raises(ValueError, match="safety margin"):
+        SystemParams(safety_margin_bits=-5)
+
+
+def test_params_reject_pulse_period_inconsistent_with_rate():
+    assert SystemParams(pulse_period_s=200e-9).pulse_period_s == 200e-9
+    assert SystemParams(repetition_rate_hz=10e6, pulse_period_s=100e-9).pulse_period_s == 100e-9
+    with pytest.raises(ValueError, match="1 / repetition rate"):
+        SystemParams(pulse_period_s=100e-9)
+    with pytest.raises(ValueError, match="finite and positive"):
+        SystemParams(repetition_rate_hz=0.0)
+
+
+def test_run_once_rejects_period_below_twice_the_demux_delay_before_work(monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("the run started before its settings were checked")
+
+    monkeypatch.setattr(runner, "generate_alice_record", no_work)
+    with pytest.raises(ValueError, match="half the pulse period"):
+        run_once(SystemParams(repetition_rate_hz=20e6), 0.01, SEED)
+
+
+def test_cli_sweep_rejects_period_below_twice_the_demux_delay_before_writing(tmp_path):
+    cfg_file = tmp_path / "fast.cfg"
+    cfg_file.write_text("repetition_rate_hz = 20e6\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="half the pulse period"):
+        main(["sweep", "--config", str(cfg_file), "--sweep", "background", "--values", "0,5000",
+              "--duration", "0.05", "--out", str(out)])
+    assert not out.exists()

@@ -1,5 +1,7 @@
 """Start detection, clock lock, gating and sparse alignment."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -178,6 +180,38 @@ def test_lock_clock_monotone_in_gate_width():
         background_kept.append(int((origins == ORIGIN_BACKGROUND).sum()))
     assert signal_kept[0] <= signal_kept[1] <= signal_kept[2]
     assert background_kept[0] < background_kept[1] < background_kept[2]
+
+
+# Known answers of lock_clock over 0.5 s at 10 ppm skew (five drift
+# intervals), recorded before the intervals were taken as slices:
+# background -> (gated events, recovered period, SHA-256 of slots,
+# detectors, tag indices and phase histogram).
+LOCK_KNOWN_ANSWERS = {
+    0.0: (16568, 2.0000199993202285e-07,
+          "064164406f6303e979f71e0e65d34f6f0afdded393d60d739a113ea84a543c6e"),
+    80000.0: (20621, 2.0000200007153992e-07,
+              "d79b607e5a7d429f8d2dfb61af3d3d6d74db247f99c6c4f78499b0855056c7f0"),
+}
+
+
+@pytest.mark.parametrize("background_cps", sorted(LOCK_KNOWN_ANSWERS))
+def test_lock_clock_known_answer(background_cps):
+    stream, _ = signal_stream(
+        f"ka{background_cps:g}", n_pulses=2_500_000, background_cps=background_cps, skew_ppm=10.0
+    )
+    cfg = SyncConfig()
+    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    digest = hashlib.sha256()
+    for a in (gated.slots, gated.detectors, gated.tag_indices, gated.phase_histogram):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    got = (gated.n_events, float(gated.recovered_period_s), digest.hexdigest())
+    assert got == LOCK_KNOWN_ANSWERS[background_cps]
+
+
+def test_sync_config_rejects_a_period_too_short_for_the_demux_delay():
+    SyncConfig(period_s=80.1e-9)
+    with pytest.raises(ValueError, match="half the pulse period"):
+        SyncConfig(period_s=80e-9)
 
 
 def test_lock_clock_lost_when_signal_stops():
