@@ -35,9 +35,6 @@ ORIGIN_BACKGROUND = 1
 # Same-line tags closer than this are unresolvable even with zero dead time.
 MERGE_RESOLUTION_S = 1e-12
 
-# Pulses per Poisson/binomial draw in simulate_detections; bounds its memory.
-SAMPLE_CHUNK = 1 << 20
-
 
 def state_bits(states: np.ndarray) -> np.ndarray:
     """Bit encoding: 0/45 deg carry 0, 90/135 deg carry 1."""
@@ -181,41 +178,20 @@ def simulate_detections(
     and registers according to the polarizer in front of it. Multi-photon
     pulses can therefore fire several detectors in one period.
 
-    The per-pulse draws are made in chunks of ``SAMPLE_CHUNK`` pulses, and
-    only pulses that carry photons are kept and thinned. Two properties of
-    numpy's Generator make this give the same events as one Poisson and
-    one binomial draw over all pulses: ``poisson`` and ``binomial`` yield
-    the same values and leave the generator in the same state whether
-    drawn in chunks or at once, and ``binomial(0, p)`` consumes no random
-    numbers.
+    The surviving photons are drawn by Poisson splitting rather than pulse
+    by pulse: thinning Poisson(mu) photons with survival probability p
+    leaves Poisson(mu * p) survivors per pulse, independently across
+    pulses, and n independent Poisson(lam) counts are the same in law as
+    one Poisson(n * lam) total spread uniformly over the n pulses. So one
+    draw gives the total and one draw of that many uniform pulse indices
+    places them, and the work follows the detected photons, not the
+    pulses.
     """
     rng = np_rng(seed)
     n = record.n_pulses
-    p_survive = params.channel_transmission * params.detection_efficiency
-
-    idx_dtype = np.int32 if n < 2**31 else np.int64
-    lit_idx, lit_photons = [], []
-    for start in range(0, n, SAMPLE_CHUNK):
-        photons = rng.poisson(params.mean_photon_number, min(SAMPLE_CHUNK, n - start))
-        lit = np.flatnonzero(photons)
-        count_dtype = np.uint8 if photons.max(initial=0) < 256 else np.int64
-        lit_idx.append((lit + start).astype(idx_dtype))
-        lit_photons.append(photons[lit].astype(count_dtype))
-    survived = []
-    for idx, photons in zip(lit_idx, lit_photons):
-        s = rng.binomial(photons, p_survive)
-        hit = s > 0
-        survived.append(np.repeat(idx[hit].astype(np.int64), s[hit]))
-    pulse_idx = np.concatenate(survived) if survived else np.empty(0, np.int64)
-    k = pulse_idx.size
-    if k == 0:
-        empty = np.empty(0)
-        return DetectionEvents(
-            empty,
-            np.empty(0, np.uint8),
-            np.empty(0, np.uint8),
-            np.empty(0, np.int64),
-        )
+    lam = params.mean_photon_number * params.channel_transmission * params.detection_efficiency
+    k = int(rng.poisson(n * lam))
+    pulse_idx = np.sort(rng.integers(0, n, size=k, dtype=np.int64))
 
     states = record.states[pulse_idx]
     port = rng.integers(0, 4, size=k, dtype=np.uint8)  # grating output port

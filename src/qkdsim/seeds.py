@@ -71,9 +71,12 @@ class HashStream:
         return int.from_bytes(self.take(8), "big")
 
     def below(self, n: int) -> int:
-        """Uniform integer in [0, n), bias-free by rejection on u64 draws."""
-        if n <= 0:
-            raise ValueError("bound must be positive")
+        """Uniform integer in [0, n), bias-free by rejection on u64 draws.
+
+        n must lie in [1, 2^64]; above that no u64 draw could be accepted.
+        """
+        if not 1 <= n <= 2**64:
+            raise ValueError("bound must lie in [1, 2^64]")
         limit = (2**64 // n) * n
         while True:
             u = self.u64()

@@ -1,0 +1,54 @@
+"""Shared test helpers."""
+
+import numpy as np
+import pytest
+
+from qkdsim.photonics import ORIGIN_SIGNAL, DetectionEvents
+from qkdsim.seeds import np_rng
+
+
+def reference_simulate_detections(record, params, seed):
+    """Per-pulse sampler: one Poisson and one binomial draw over every pulse.
+
+    The oracle for ``photonics.simulate_detections``, which draws the same
+    law by Poisson splitting, and the sampler behind streams whose pinned
+    digests must not move with it.
+    """
+    rng = np_rng(seed)
+    n = record.n_pulses
+    photons = rng.poisson(params.mean_photon_number, n)
+    survivors = rng.binomial(photons, params.channel_transmission * params.detection_efficiency)
+    pulse_idx = np.repeat(np.arange(n, dtype=np.int64), survivors)
+    k = pulse_idx.size
+    if k == 0:
+        return DetectionEvents(
+            np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8), np.empty(0, np.int64)
+        )
+    states = record.states[pulse_idx]
+    port = rng.integers(0, 4, size=k, dtype=np.uint8)
+    matched = port == states
+    conjugate = ((port ^ states) & 1) == 1
+    registers = matched | (conjugate & (rng.random(k) < 0.5))
+    ber = np.asarray(params.base_ber_per_channel, dtype=np.float64)
+    orthogonal = states ^ 2
+    flip = matched & (rng.random(k) < ber[orthogonal])
+    detectors = np.where(flip, orthogonal, port).astype(np.uint8)
+    if params.injected_error_rate > 0:
+        inject = matched & registers & (rng.random(k) < params.injected_error_rate)
+        detectors = np.where(inject, detectors ^ 2, detectors).astype(np.uint8)
+    times = (
+        record.start_time_s
+        + pulse_idx * record.pulse_period_s
+        + rng.normal(0.0, params.pulse_jitter_rms_s, k)
+    )
+    return DetectionEvents(
+        times_s=times[registers],
+        detectors=detectors[registers],
+        origins=np.full(int(registers.sum()), ORIGIN_SIGNAL, dtype=np.uint8),
+        pulses=pulse_idx[registers],
+    ).sorted_by_time()
+
+
+@pytest.fixture
+def reference_sampler():
+    return reference_simulate_detections

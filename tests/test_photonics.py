@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from qkdsim import photonics
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     ORIGIN_BACKGROUND,
@@ -16,7 +15,7 @@ from qkdsim.photonics import (
     multiplex_two_channel,
     simulate_detections,
 )
-from qkdsim.seeds import derive_seed, np_rng
+from qkdsim.seeds import derive_seed
 
 MASTER = bytes(range(32))
 
@@ -58,84 +57,84 @@ def test_simulate_no_photons_gives_no_signal():
     assert events.n_events == 0
 
 
-def _reference_simulate_detections(record, params, seed):
-    """One Poisson and one binomial draw over every pulse, then the routing."""
-    rng = np_rng(seed)
-    n = record.n_pulses
-    photons = rng.poisson(params.mean_photon_number, n)
-    survivors = rng.binomial(photons, params.channel_transmission * params.detection_efficiency)
-    pulse_idx = np.repeat(np.arange(n, dtype=np.int64), survivors)
-    k = pulse_idx.size
-    if k == 0:
-        return DetectionEvents(
-            np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8), np.empty(0, np.int64)
-        )
-    states = record.states[pulse_idx]
-    port = rng.integers(0, 4, size=k, dtype=np.uint8)
-    matched = port == states
-    conjugate = ((port ^ states) & 1) == 1
-    registers = matched | (conjugate & (rng.random(k) < 0.5))
-    ber = np.asarray(params.base_ber_per_channel, dtype=np.float64)
-    orthogonal = states ^ 2
-    flip = matched & (rng.random(k) < ber[orthogonal])
-    detectors = np.where(flip, orthogonal, port).astype(np.uint8)
-    if params.injected_error_rate > 0:
-        inject = matched & registers & (rng.random(k) < params.injected_error_rate)
-        detectors = np.where(inject, detectors ^ 2, detectors).astype(np.uint8)
-    times = (
-        record.start_time_s
-        + pulse_idx * record.pulse_period_s
-        + rng.normal(0.0, params.pulse_jitter_rms_s, k)
-    )
-    return DetectionEvents(
-        times_s=times[registers],
-        detectors=detectors[registers],
-        origins=np.full(int(registers.sum()), ORIGIN_SIGNAL, dtype=np.uint8),
-        pulses=pulse_idx[registers],
-    ).sorted_by_time()
+# Chi-square 99.99th percentiles by degrees of freedom, and the two-sided
+# normal one: a comparison below fails a correct sampler with probability
+# 1e-4 at each parameter point.
+CHI2_9999 = {
+    1: 15.14, 2: 18.42, 3: 21.11, 4: 23.51, 5: 25.74, 6: 27.86, 7: 29.88, 8: 31.83,
+    9: 33.72, 10: 35.56, 11: 37.37, 12: 39.13, 13: 40.87, 14: 42.58, 15: 44.26, 16: 45.92,
+}
+Z_9999 = 3.89
 
 
-def _assert_same_events(got, want):
-    for name in ("times_s", "detectors", "origins", "pulses"):
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.dtype == b.dtype, name
-        assert a.tobytes() == b.tobytes(), name
+def _paired_chi2(a, b):
+    """Sum of (a - b)^2 / (a + b) over the cells either sample reaches, and
+    the number of those cells."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    hit = (a + b) > 0
+    return float(((a[hit] - b[hit]) ** 2 / (a[hit] + b[hit])).sum()), int(hit.sum())
+
+
+def _detections_per_pulse(events, n_pulses):
+    """Pulses with 0, 1, 2 and at least 3 registered detections."""
+    per_pulse = np.bincount(events.pulses, minlength=n_pulses)
+    return np.bincount(np.minimum(per_pulse, 3), minlength=4)
+
+
+def _state_detector_counts(events, record):
+    return np.bincount(4 * record.states[events.pulses] + events.detectors, minlength=16)
+
+
+def _pulses_firing_two_detectors(events):
+    """Pulses whose registered detections reach at least two detectors."""
+    fired = np.unique(events.pulses * 4 + events.detectors) // 4
+    return int((np.bincount(fired) >= 2).sum())
 
 
 @pytest.mark.parametrize(
     "n_pulses, label, overrides",
     [
         (1_500_000, "a", {}),
-        (2_600_001, "b", {}),  # 2.48 chunks: a short last chunk
+        (2_600_001, "b", {}),
         (500_000, "c", {"injected_error_rate": 0.05}),
         (300_000, "d", {"mean_photon_number": 2.5}),
         (200_000, "e", {"mean_photon_number": 2.5, "detection_efficiency": 1.0}),
-        (2_000, "f", {"mean_photon_number": 300.0, "detection_efficiency": 0.01}),  # counts >= 256
+        (2_000, "f", {"mean_photon_number": 300.0, "detection_efficiency": 0.01}),
     ],
 )
-def test_simulate_detections_matches_single_draw_reference(n_pulses, label, overrides):
+def test_simulate_detections_matches_single_draw_reference(
+    reference_sampler, n_pulses, label, overrides
+):
     params = SystemParams(**overrides)
     rec = generate_alice_record(params, n_pulses, seed("ref" + label), start_time_s=0.05)
     got = simulate_detections(rec, params, seed("refd" + label))
+    want = reference_sampler(rec, params, seed("refo" + label))
     assert got.n_events > 0
-    _assert_same_events(got, _reference_simulate_detections(rec, params, seed("refd" + label)))
+    for name in ("times_s", "detectors", "origins", "pulses"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    assert np.all(np.diff(got.times_s) >= 0)
+
+    # detections per pulse: two samples of n pulses over the same four bins
+    stat, cells = _paired_chi2(_detections_per_pulse(got, n_pulses),
+                               _detections_per_pulse(want, n_pulses))
+    assert stat < CHI2_9999[cells - 1]
+    # each (state, detector) count is Poisson with the same mean in both
+    stat, cells = _paired_chi2(_state_detector_counts(got, rec), _state_detector_counts(want, rec))
+    assert stat < CHI2_9999[cells]
+    # pulses firing two or more detectors: two binomials over n pulses
+    a, b = _pulses_firing_two_detectors(got), _pulses_firing_two_detectors(want)
+    pooled = (a + b) / (2 * n_pulses)
+    assert abs(a - b) <= Z_9999 * np.sqrt(2 * n_pulses * pooled * (1 - pooled))
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1000])
-def test_simulate_detections_chunk_size_does_not_change_events(monkeypatch, chunk):
-    params = SystemParams(mean_photon_number=2.5, injected_error_rate=0.05)
-    rec = generate_alice_record(params, 12_345, seed("chunks"))
-    want = _reference_simulate_detections(rec, params, seed("chunksd"))
-    monkeypatch.setattr(photonics, "SAMPLE_CHUNK", chunk)
-    _assert_same_events(simulate_detections(rec, params, seed("chunksd")), want)
-
-
-def test_simulate_detections_without_detections_matches_reference():
+def test_simulate_detections_without_detections_matches_reference(reference_sampler):
     params = SystemParams(mean_photon_number=1e-9)
     rec = generate_alice_record(params, 3_000_000, seed("dark"))
     got = simulate_detections(rec, params, seed("darkd"))
-    assert got.n_events == 0
-    _assert_same_events(got, _reference_simulate_detections(rec, params, seed("darkd")))
+    want = reference_sampler(rec, params, seed("darkd"))
+    assert got.n_events == want.n_events == 0
+    for name in ("times_s", "detectors", "origins", "pulses"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
 
 def test_sifted_signal_rate_matches_closed_form():

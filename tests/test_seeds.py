@@ -77,6 +77,19 @@ def test_below_many_falls_back_after_a_rejected_draw():
     assert stream.take(40) == after
 
 
+@pytest.mark.parametrize("bound", [0, -3, 2**64 + 1, 2**70])
+def test_below_rejects_bounds_outside_the_u64_range(bound):
+    stream = HashStream(KA_SEED)
+    with pytest.raises(ValueError):
+        stream.below(bound)
+    assert stream.take(64).hex() == BLOCKS_0_1_HEX
+
+
+def test_below_accepts_the_full_u64_range():
+    stream = HashStream(KA_SEED)
+    assert stream.below(2**64) == int.from_bytes(bytes.fromhex(BLOCKS_0_1_HEX[:16]), "big")
+
+
 def test_below_many_empty_and_invalid_bounds():
     stream = HashStream(KA_SEED)
     assert stream.below_many([]).size == 0
