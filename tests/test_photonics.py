@@ -7,7 +7,6 @@ from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     ORIGIN_BACKGROUND,
     ORIGIN_SIGNAL,
-    DetectionEvents,
     TagStream,
     add_background,
     add_background_per_detector,
@@ -85,6 +84,11 @@ def _state_detector_counts(events, record):
     return np.bincount(4 * record.states[events.pulses] + events.detectors, minlength=16)
 
 
+def _assert_same_dtypes(got, want):
+    for name in ("times_s", "detectors", "origins", "pulses"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+
+
 def _pulses_firing_two_detectors(events):
     """Pulses whose registered detections reach at least two detectors."""
     fired = np.unique(events.pulses * 4 + events.detectors) // 4
@@ -110,8 +114,7 @@ def test_simulate_detections_matches_single_draw_reference(
     got = simulate_detections(rec, params, seed("refd" + label))
     want = reference_sampler(rec, params, seed("refo" + label))
     assert got.n_events > 0
-    for name in ("times_s", "detectors", "origins", "pulses"):
-        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    _assert_same_dtypes(got, want)
     assert np.all(np.diff(got.times_s) >= 0)
 
     # detections per pulse: two samples of n pulses over the same four bins
@@ -133,8 +136,7 @@ def test_simulate_detections_without_detections_matches_reference(reference_samp
     got = simulate_detections(rec, params, seed("darkd"))
     want = reference_sampler(rec, params, seed("darkd"))
     assert got.n_events == want.n_events == 0
-    for name in ("times_s", "detectors", "origins", "pulses"):
-        assert getattr(got, name).dtype == getattr(want, name).dtype, name
+    _assert_same_dtypes(got, want)
 
 
 def test_sifted_signal_rate_matches_closed_form():
