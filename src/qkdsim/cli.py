@@ -6,7 +6,9 @@
     qkd-sim otp    {init,status,ledger} --otp pad.otp [--size N] [--seed hex]
 
 A config file (--config, line-oriented key=value, '#' comments) supplies
-defaults for any flag or SystemParams field; explicit flags win.
+defaults for duration, reps, seed, out, otp and any SystemParams field,
+with base_ber_per_channel as four comma-separated floats. Explicit flags
+win, and any other key is an error.
 """
 
 import argparse
@@ -19,10 +21,12 @@ from qkdsim.runner import RunConfig, open_outputs, run_once, sweep_background, s
 from qkdsim.seeds import np_rng, parse_seed
 
 _PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
+_CONFIG_KEYS = _PARAM_FIELDS | {"duration", "reps", "seed", "out", "otp"}
 
 
 def load_config(path) -> dict:
-    """Parse a line-oriented key=value config file."""
+    """Parse a line-oriented key=value config file; an unknown key raises
+    ValueError naming the file, line and key."""
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -32,7 +36,10 @@ def load_config(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
-            values[key.strip()] = val.strip()
+            key = key.strip()
+            if key not in _CONFIG_KEYS:
+                raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            values[key] = val.strip()
     return values
 
 
@@ -40,12 +47,14 @@ def _parse_values(text: str):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
+_PARAM_CASTS = {"safety_margin_bits": int, "base_ber_per_channel": _parse_values}
+
+
 def _build_params(args, file_cfg: dict) -> SystemParams:
     overrides = {}
     for name in _PARAM_FIELDS:
         if name in file_cfg:
-            caster = int if name == "safety_margin_bits" else float
-            overrides[name] = caster(file_cfg[name])
+            overrides[name] = _PARAM_CASTS.get(name, float)(file_cfg[name])
     if args.background is not None:
         overrides["background_rate_cps"] = args.background
     if args.gate_ns is not None:

@@ -28,7 +28,6 @@ class SystemParams:
     channel_transmission: float = 1.0
     detection_efficiency: float = 0.045
     gate_width_s: float = 5e-9
-    pulse_period_s: float = 0.0  # 0 means "derive from repetition rate"
     pulse_jitter_rms_s: float = 2.4e-9 * FWHM_TO_SIGMA  # 2.4 ns FWHM optical pulse
     background_rate_cps: float = 0.0
     base_ber_per_channel: tuple = MEASURED_CHANNEL_BER
@@ -40,11 +39,6 @@ class SystemParams:
     def __post_init__(self):
         if not (math.isfinite(self.repetition_rate_hz) and self.repetition_rate_hz > 0):
             raise ValueError("repetition rate must be finite and positive")
-        derived_period_s = 1.0 / self.repetition_rate_hz
-        if self.pulse_period_s == 0.0:
-            object.__setattr__(self, "pulse_period_s", derived_period_s)
-        elif not math.isclose(self.pulse_period_s, derived_period_s, rel_tol=1e-9, abs_tol=0.0):
-            raise ValueError("pulse period must equal 1 / repetition rate (or be 0 to derive it)")
         if not self.mean_photon_number > 0:
             raise ValueError("mean photon number must be positive")
         if not 0 < self.channel_transmission <= 1:
@@ -66,6 +60,11 @@ class SystemParams:
             raise ValueError("injected error rate must lie in [0, 0.5)")
         if self.safety_margin_bits < 0:
             raise ValueError("safety margin cannot be negative")
+
+    @property
+    def pulse_period_s(self) -> float:
+        """Pulse spacing, always 1 / ``repetition_rate_hz``."""
+        return 1.0 / self.repetition_rate_hz
 
     @property
     def base_error_rate(self) -> float:

@@ -34,6 +34,8 @@ ORIGIN_BACKGROUND = 1
 
 # Same-line tags closer than this are unresolvable even with zero dead time.
 MERGE_RESOLUTION_S = 1e-12
+# Fixed delay that puts detectors 2 and 3 onto the recorder lines of 0 and 1.
+DEMUX_DELAY_S = 40e-9
 
 
 def state_bits(states: np.ndarray) -> np.ndarray:
@@ -58,14 +60,6 @@ class AliceRecord:
     @property
     def n_pulses(self) -> int:
         return int(self.states.size)
-
-    @property
-    def bits(self) -> np.ndarray:
-        return state_bits(self.states)
-
-    @property
-    def bases(self) -> np.ndarray:
-        return state_bases(self.states)
 
 
 @dataclass
@@ -294,7 +288,7 @@ def _keep_after_dead_time(times: np.ndarray, resolution: float) -> np.ndarray:
 
 def multiplex_two_channel(
     events: DetectionEvents,
-    delay_s: float = 40e-9,
+    delay_s: float = DEMUX_DELAY_S,
     clock_skew_ppm: float = 0.0,
     dead_time_s: float = 0.0,
     duration_s: float | None = None,

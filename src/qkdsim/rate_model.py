@@ -14,7 +14,6 @@ bound folded through the error-rate formula (4 / (0.08 - 0.027) = 75.47,
 a 0.1% discrepancy tolerated in tests).
 """
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,21 +72,3 @@ def error_band(
     curve_high_eta = base + 4.0 * grid * params.gate_width_s / (m_t * eta_high)
     return curve_low_eta, curve_high_eta
 
-
-def write_error_band_csv(
-    path,
-    params: SystemParams,
-    background_grid,
-    simulated_error=None,
-    eta_low: float = 0.045,
-    eta_high: float = 0.055,
-) -> None:
-    """Emit B, E_pred_low, E_pred_high and optional E_sim columns."""
-    grid = np.asarray(background_grid, dtype=np.float64)
-    hi, lo = error_band(params, grid, eta_low, eta_high)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["background_cps", "e_pred_low_eta", "e_pred_high_eta", "e_sim"])
-        for i, b in enumerate(grid):
-            sim = "" if simulated_error is None else simulated_error[i]
-            writer.writerow([b, hi[i], lo[i], sim])

@@ -29,6 +29,7 @@ from qkdsim.errors import (
     RateInfeasible,
 )
 from qkdsim.seeds import HashStream, derive_seed
+from qkdsim.sifting import log_key_hash, log_syndrome
 
 VARIABLE_DEGREE = 3
 MIN_BLOCK_BITS = 256
@@ -270,9 +271,7 @@ def reconcile_keys(
         graph = build_factor_graph(a.size, rate, derive_seed(seed, f"block{i}"))
         syn = compute_syndrome(a, graph)
         if channel is not None:
-            from qkdsim import sifting
-
-            sifting.log_syndrome(channel, syn)
+            log_syndrome(channel, syn)
         fixed = decode(b, syn, graph, error_estimate, max_iters)
         n_syn += graph.m
         corrected.append(fixed[: fixed.size - pad] if pad else fixed)
@@ -281,10 +280,8 @@ def reconcile_keys(
     digest_a = key_digest(alice_bits)
     digest_b = key_digest(bob_corrected)
     if channel is not None:
-        from qkdsim import sifting
-
-        sifting.log_key_hash(channel, "alice", digest_a)
-        sifting.log_key_hash(channel, "bob", digest_b)
+        log_key_hash(channel, "alice", digest_a)
+        log_key_hash(channel, "bob", digest_b)
     if digest_a != digest_b:
         raise HashMismatch("corrected keys differ despite matching syndromes")
     return bob_corrected, n_syn, rate

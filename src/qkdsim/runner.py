@@ -121,7 +121,7 @@ class RunConfig:
     duration_s: float = 1.0
     repetitions: int = 1
     master_seed: bytes = bytes(32)
-    sweep_axis: str | None = None  # "background" | "gate"
+    sweep_axis: str | None = None  # "background" | "gate"; only the CLI reads it
     axis_values: tuple = ()
     background_values: tuple = (0.0, 10000.0, 20000.0, 30000.0, 40000.0)
     out_path: str | None = None
@@ -134,11 +134,7 @@ class RunConfig:
         for v in (*self.axis_values, *self.background_values):
             if not np.isfinite(v) or v < 0:
                 raise ValueError("sweep values must be finite and non-negative")
-        gates_s = [self.params.gate_width_s]
-        if self.sweep_axis == "gate":
-            gates_s += [float(g) * 1e-9 for g in self.axis_values]
-        for gate_s in gates_s:
-            _sync_config(replace(self.params, gate_width_s=gate_s))
+        _sync_config(self.params)
 
 
 def _pulse_count(params: SystemParams, duration_s: float) -> int:
@@ -233,7 +229,6 @@ def run_once(
         events = add_background(events, params, total_duration, seed("background"))
         stream = multiplex_two_channel(
             events,
-            delay_s=sync_cfg.demux_delay_s,
             clock_skew_ppm=params.clock_skew_ppm,
             dead_time_s=params.dead_time_s,
             duration_s=total_duration,
@@ -258,8 +253,6 @@ def run_once(
             (gated.detectors[chosen] >> 1).astype(np.uint8),
             record,
             search_range=SEARCH_RANGE,
-            margin=sync_cfg.alignment_margin,
-            min_subset=sync_cfg.min_alignment_subset,
         )
         report.start_offset_pulses = alignment.start_offset_pulses
         report.alignment_score = alignment.match_score
@@ -372,9 +365,12 @@ def sweep_gate(cfg: RunConfig):
     """Full pipeline per (gate width, background, repetition).
 
     The ``best_gate_ns`` column carries, for every row of a background
-    group, the gate whose mean secret rate won at that background.
+    group, the gate whose mean secret rate won at that background. A gate
+    the receiver cannot use raises ValueError before any run or output.
     """
     gates_ns = cfg.axis_values or (3.0, 5.0, 7.0)
+    for gate_ns in gates_ns:
+        _sync_config(replace(cfg.params, gate_width_s=float(gate_ns) * 1e-9))
     reports = []
     with open_outputs(cfg) as (otp, emit):
         for b in cfg.background_values:

@@ -79,20 +79,14 @@ class SiftedKey:
 
     ``n_rec`` counts every sifted bit received, including the ones later
     revealed; the invariant n_rec == len(bits) + n_err holds throughout.
-    ``revealed_slots`` records which pulse slots went public and are
-    therefore excluded from the key.
     """
 
     bits: np.ndarray
     pulse_slots: np.ndarray
     n_rec: int
     n_err: int = 0
-    estimated_error: float = 0.0
-    revealed_slots: np.ndarray = None
 
     def __post_init__(self):
-        if self.revealed_slots is None:
-            self.revealed_slots = np.empty(0, dtype=np.int64)
         if self.bits.size != self.pulse_slots.size:
             raise ValueError("bits and slots must align")
         if self.n_rec != self.bits.size + self.n_err:
@@ -141,8 +135,7 @@ def sift(
     matched_keep = single & ~revealed & basis_match
 
     # revealed single-fire events that would have been key bits
-    revealed_matched_slots = slots[single & revealed & basis_match]
-    n_revealed_matched = int(revealed_matched_slots.size)
+    n_revealed_matched = int(np.count_nonzero(single & revealed & basis_match))
 
     kept_slots = slots[matched_keep]
     order = np.argsort(kept_slots, kind="stable")
@@ -158,15 +151,8 @@ def sift(
         )
 
     n_rec = int(kept_slots.size) + n_revealed_matched
-    err = 1.0 - alignment.match_score
-    alice_key = SiftedKey(
-        alice_bits, kept_slots.copy(), n_rec, n_revealed_matched, err,
-        revealed_slots=revealed_matched_slots.copy(),
-    )
-    bob_key = SiftedKey(
-        bob_bits, kept_slots.copy(), n_rec, n_revealed_matched, err,
-        revealed_slots=revealed_matched_slots.copy(),
-    )
+    alice_key = SiftedKey(alice_bits, kept_slots.copy(), n_rec, n_revealed_matched)
+    bob_key = SiftedKey(bob_bits, kept_slots.copy(), n_rec, n_revealed_matched)
     return alice_key, bob_key
 
 
@@ -218,10 +204,6 @@ def estimate_error(
             pulse_slots=key.pulse_slots[keep],
             n_rec=key.n_rec,
             n_err=key.n_err + k,
-            estimated_error=error,
-            revealed_slots=np.concatenate(
-                [key.revealed_slots, key.pulse_slots[reveal]]
-            ),
         )
 
     alice_out, bob_out = _trim(alice_key), _trim(bob_key)

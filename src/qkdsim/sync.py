@@ -25,35 +25,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from qkdsim.errors import AmbiguousAlignment, InsufficientData, LockLost, NoJumpFound
-from qkdsim.photonics import AliceRecord, TagStream
+from qkdsim.photonics import DEMUX_DELAY_S, AliceRecord, TagStream
 
 _MIN_PEAK_TAGS = 20  # in-window tags before a bootstrap peak is trusted
+
+DRIFT_UPDATE_INTERVAL_S = 0.1  # phase re-estimated once per interval
+START_DETECT_WINDOW = 1024  # tags per rate window
+START_DETECT_RATIO = 1.2  # rate jump that counts as signal
+BOOTSTRAP_WINDOW_S = 2e-3
+MAX_SKEW_PPM = 25.0  # widest clock skew the bootstrap scans for
+MIN_PEAK_RATIO = 3.0  # peak/uniform score below which lock is lost
+MIN_TAGS_PER_INTERVAL = 30
+MIN_ALIGNMENT_SUBSET = 200
+ALIGNMENT_MARGIN = 0.1  # best score must beat the runner-up by this much
 
 
 @dataclass(frozen=True)
 class SyncConfig:
+    """The receiver settings that vary between runs."""
+
     period_s: float = 200e-9
     gate_width_s: float = 5e-9
-    drift_update_interval_s: float = 0.1
-    start_detect_window: int = 1024  # tags per rate window
-    start_detect_ratio: float = 1.2  # rate jump that counts as signal
-    demux_delay_s: float = 40e-9
-    bootstrap_window_s: float = 2e-3
-    max_skew_ppm: float = 25.0  # widest clock skew the bootstrap scans for
-    min_peak_ratio: float = 3.0  # peak/uniform score below which lock is lost
-    min_tags_per_interval: int = 30
-    min_alignment_subset: int = 200
-    alignment_margin: float = 0.1
 
     def __post_init__(self):
-        if not self.gate_width_s < self.demux_delay_s:
+        if not self.gate_width_s < DEMUX_DELAY_S:
             raise ValueError("gate width must stay below the demux delay")
-        if not self.demux_delay_s < self.period_s / 2:
+        if not DEMUX_DELAY_S < self.period_s / 2:
             raise ValueError("demux delay must stay below half the pulse period")
-        if not self.drift_update_interval_s > 0:
-            raise ValueError("drift update interval must be positive")
-        if self.start_detect_window < 4:
-            raise ValueError("start detection window too small")
 
 
 @dataclass
@@ -128,11 +126,12 @@ def detect_start(stream: TagStream, cfg: SyncConfig) -> float:
 
     The trailing background rate is the median of all window rates seen
     so far (seeded with the empty lead-in before the first tag); the
-    first window exceeding ``start_detect_ratio`` times that estimate is
-    refined down to the steepest local rate jump.
+    first window exceeding ``START_DETECT_RATIO`` times that estimate is
+    refined down to the steepest local rate jump. Start detection needs
+    neither the period nor the gate, so nothing is read from ``cfg``.
     """
     times = stream.times_s
-    width = cfg.start_detect_window
+    width = START_DETECT_WINDOW
     if times.size < max(8, width // 8):
         raise NoJumpFound("too few tags to detect a rate jump")
     width = min(width, times.size)
@@ -148,7 +147,7 @@ def detect_start(stream: TagStream, cfg: SyncConfig) -> float:
     for k in range(starts.size):
         if baselines:
             trailing = float(np.median(baselines))
-            if rates[k] > cfg.start_detect_ratio * trailing:
+            if rates[k] > START_DETECT_RATIO * trailing:
                 lo = max(int(starts[k]) - width, 0)
                 hi = min(int(starts[k]) + 2 * width, times.size)
                 return _refine_onset(times, lo, hi)
@@ -218,7 +217,7 @@ def _gate_assign(times: np.ndarray, phase_track: float, period: float, delay: fl
     return direct, delayed, slots
 
 
-def _bootstrap_window(t, period, delay, gate, cfg):
+def _bootstrap_window(t, period, delay, gate):
     """Find the first window with a real two-peak signature and its skew.
 
     The detected start can sit up to a drift interval off the true onset,
@@ -227,17 +226,17 @@ def _bootstrap_window(t, period, delay, gate, cfg):
     scanned over skew hypotheses spaced to keep the residual smear inside
     half a gate.
     """
-    w = cfg.bootstrap_window_s
-    while (t < w).sum() < cfg.min_tags_per_interval and w < cfg.drift_update_interval_s:
+    w = BOOTSTRAP_WINDOW_S
+    while (t < w).sum() < MIN_TAGS_PER_INTERVAL and w < DRIFT_UPDATE_INTERVAL_S:
         w *= 2.0
     spacing = gate / (2.0 * w)
-    n_side = int(np.ceil(cfg.max_skew_ppm * 1e-6 / spacing))
+    n_side = int(np.ceil(MAX_SKEW_PPM * 1e-6 / spacing))
     candidates = np.arange(-n_side, n_side + 1) * spacing
-    limit = min(1.5 * cfg.drift_update_interval_s, float(t[-1]))
+    limit = min(1.5 * DRIFT_UPDATE_INTERVAL_S, float(t[-1]))
     ws = 0.0
     while ws <= limit:
         boot = (t >= ws) & (t < ws + w)
-        if boot.sum() >= cfg.min_tags_per_interval:
+        if boot.sum() >= MIN_TAGS_PER_INTERVAL:
             tau0 = float(t[boot].mean())
             ratio, alpha, phase0, n_in = -1.0, 0.0, 0.0, 0
             for a in candidates:
@@ -245,7 +244,7 @@ def _bootstrap_window(t, period, delay, gate, cfg):
                 cand_phase, cand_ratio, cand_n = _peak_phase(tc, period, delay, gate)
                 if cand_ratio > ratio:
                     ratio, alpha, phase0, n_in = cand_ratio, float(a), cand_phase, cand_n
-            if ratio >= cfg.min_peak_ratio and n_in >= _MIN_PEAK_TAGS:
+            if ratio >= MIN_PEAK_RATIO and n_in >= _MIN_PEAK_TAGS:
                 return ws, w, tau0, alpha, phase0
         ws += w
     raise LockLost("no dominant phase peak within a drift interval of the start")
@@ -257,15 +256,15 @@ def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvent
     ``stream.times_s`` must be ascending, as ``multiplex_two_channel``
     and ``TagStream.from_text`` produce it.
     """
-    period, gate, delay = cfg.period_s, cfg.gate_width_s, cfg.demux_delay_s
+    period, gate, delay = cfg.period_s, cfg.gate_width_s, DEMUX_DELAY_S
     picked = np.flatnonzero(stream.times_s >= start_s)
-    if picked.size < cfg.min_tags_per_interval:
+    if picked.size < MIN_TAGS_PER_INTERVAL:
         raise LockLost("too few tags after the detected start")
     t = stream.times_s[picked] - start_s
     lines = stream.lines[picked].astype(np.uint8)
     horizon = float(t[-1])
 
-    lock_at, w, tau0, alpha, phase0 = _bootstrap_window(t, period, delay, gate, cfg)
+    lock_at, w, tau0, alpha, phase0 = _bootstrap_window(t, period, delay, gate)
     if lock_at > 0:
         # tags before the locked window predate the transmission; their
         # slots would map below the transmitter's record anyway
@@ -274,16 +273,16 @@ def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvent
 
     # Pin the skew on geometrically longer baselines so the drift over one
     # tracking interval stays inside a fraction of the gate.
-    reach = min(cfg.drift_update_interval_s, horizon - lock_at)
+    reach = min(DRIFT_UPDATE_INTERVAL_S, horizon - lock_at)
     delta = w
     while delta < reach:
         delta = min(delta * 4.0, reach)
         probe = (t >= lock_at + delta - w) & (t < lock_at + delta)
-        if probe.sum() < cfg.min_tags_per_interval:
+        if probe.sum() < MIN_TAGS_PER_INTERVAL:
             continue
         tc = tau0 + (t[probe] - tau0) / (1.0 + alpha)
         phase1, ratio1, _ = _peak_phase(tc, period, delay, gate)
-        if ratio1 < cfg.min_peak_ratio:
+        if ratio1 < MIN_PEAK_RATIO:
             continue
         baseline = float(t[probe].mean()) - tau0
         alpha += _circ_diff(phase1, phase0, period) / baseline
@@ -298,10 +297,10 @@ def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvent
     out_slots, out_dets, out_idx = [], [], []
 
     # t is sorted, so each interval [lo, hi) is one slice of it
-    n_intervals = int(np.ceil(horizon / cfg.drift_update_interval_s)) or 1
+    n_intervals = int(np.ceil(horizon / DRIFT_UPDATE_INTERVAL_S)) or 1
     for k in range(n_intervals):
-        lo = k * cfg.drift_update_interval_s
-        hi = lo + cfg.drift_update_interval_s
+        lo = k * DRIFT_UPDATE_INTERVAL_S
+        hi = lo + DRIFT_UPDATE_INTERVAL_S
         first = int(np.searchsorted(t, lo))
         end = int(np.searchsorted(t, hi)) if k < n_intervals - 1 else t.size
         m = slice(first, end)
@@ -309,12 +308,10 @@ def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvent
         if count == 0:
             continue
         tc = tau0 + (t[m] - tau0) / (1.0 + alpha)
-        if count >= cfg.min_tags_per_interval:
+        if count >= MIN_TAGS_PER_INTERVAL:
             phase_k, ratio_k, _ = _peak_phase(tc, period, delay, gate)
-            if ratio_k < cfg.min_peak_ratio:
-                raise LockLost(
-                    f"interval {k}: peak ratio {ratio_k:.2f} below {cfg.min_peak_ratio}"
-                )
+            if ratio_k < MIN_PEAK_RATIO:
+                raise LockLost(f"interval {k}: peak ratio {ratio_k:.2f} below {MIN_PEAK_RATIO}")
             phase_track = phase_track + _circ_diff(phase_k, phase_track % period, period)
             track_times.append(float(tc.mean()))
             track_phases.append(phase_track)
@@ -404,8 +401,6 @@ def sparse_align(
     subset_bits: np.ndarray,
     alice: AliceRecord,
     search_range: int = 100_000,
-    margin: float = 0.1,
-    min_subset: int = 200,
 ) -> AlignmentResult:
     """Find the slot offset mapping Bob's grid onto Alice's pulse indices.
 
@@ -416,9 +411,9 @@ def sparse_align(
     subset_slots = np.asarray(subset_slots, dtype=np.int64)
     subset_bases = np.asarray(subset_bases, dtype=np.uint8)
     subset_bits = np.asarray(subset_bits, dtype=np.uint8)
-    if subset_slots.size < min_subset:
+    if subset_slots.size < MIN_ALIGNMENT_SUBSET:
         raise InsufficientData(
-            f"alignment subset has {subset_slots.size} events, need {min_subset}"
+            f"alignment subset has {subset_slots.size} events, need {MIN_ALIGNMENT_SUBSET}"
         )
 
     scores = _offset_scores(subset_slots, subset_bases, subset_bits, alice, search_range)
@@ -426,9 +421,9 @@ def sparse_align(
     best = int(order[-1])
     runner = float(scores[order[-2]]) if scores.size > 1 else 0.0
     best_score = float(scores[best])
-    if best_score - runner < margin:
+    if best_score - runner < ALIGNMENT_MARGIN:
         raise AmbiguousAlignment(
-            f"top scores {best_score:.3f} vs {runner:.3f} within margin {margin}"
+            f"top scores {best_score:.3f} vs {runner:.3f} within margin {ALIGNMENT_MARGIN}"
         )
     return AlignmentResult(
         start_offset_pulses=best - search_range,

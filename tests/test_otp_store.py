@@ -1,5 +1,7 @@
 """Pad-store consumption, top-up, persistence and crash safety."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -173,3 +175,17 @@ def test_crash_injection_never_reserves_bytes(tmp_path):
         if final.remaining >= 8:
             assert final.consume(8, "export") == pad[offset : offset + 8]
         final.close()
+
+
+# Known-answer SHA-256 of the 64-byte header of a fresh store after one
+# consume. The other party and later opens parse it, so it is a byte
+# contract; ledger entries carry timestamps and are not pinned.
+HEADER_SHA256 = "65d781bb2a9d17510401d7e289e1f98a8d44806220349b97473c7c4935365999"
+
+
+def test_header_after_one_consume_matches_known_answer(tmp_path):
+    store = make_store(tmp_path, size=1024)
+    store.consume(32, "auth")
+    store.close()
+    header = (tmp_path / "pad.otp").read_bytes()[:HEADER_SIZE]
+    assert hashlib.sha256(header).hexdigest() == HEADER_SHA256

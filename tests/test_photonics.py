@@ -13,6 +13,8 @@ from qkdsim.photonics import (
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
+    state_bases,
+    state_bits,
 )
 from qkdsim.seeds import derive_seed
 
@@ -28,7 +30,7 @@ def test_alice_record_coding_scheme():
     assert rec.n_pulses == 4
     assert set(np.unique(rec.states)) <= {0, 1, 2, 3}
     # 0 and 45 degrees carry bit 0, 90 and 135 carry bit 1
-    for state, bit, basis in zip(rec.states, rec.bits, rec.bases):
+    for state, bit, basis in zip(rec.states, state_bits(rec.states), state_bases(rec.states)):
         assert bit == (0 if state in (0, 1) else 1)
         assert basis == state % 2
 
@@ -145,7 +147,7 @@ def test_sifted_signal_rate_matches_closed_form():
     n = 5_000_000  # one second of pulses
     rec = generate_alice_record(params, n, seed("rate"))
     events = simulate_detections(rec, params, seed("rated"))
-    matched = (events.detectors & 1) == rec.bases[events.pulses]
+    matched = (events.detectors & 1) == state_bases(rec.states)[events.pulses]
     got = int(matched.sum())
     expect = 16875.0 * n / params.repetition_rate_hz
     assert abs(got - expect) < 3 * np.sqrt(expect)
@@ -158,10 +160,10 @@ def test_conditional_wrong_bit_rate_on_135_channel():
     params = SystemParams(mean_photon_number=3.0, detection_efficiency=1.0)
     rec = generate_alice_record(params, 700_000, seed("ber"))
     events = simulate_detections(rec, params, seed("berd"))
-    matched = (events.detectors & 1) == rec.bases[events.pulses]
+    matched = (events.detectors & 1) == state_bases(rec.states)[events.pulses]
     on_135 = matched & (events.detectors == 3)
     assert on_135.sum() >= 100_000
-    wrong = rec.bits[events.pulses[on_135]] != (events.detectors[on_135] >> 1)
+    wrong = state_bits(rec.states)[events.pulses[on_135]] != (events.detectors[on_135] >> 1)
     assert abs(wrong.mean() - 0.0475) < 0.005
 
 
@@ -169,7 +171,7 @@ def test_conjugate_basis_bits_uniform():
     params = SystemParams(mean_photon_number=3.0, detection_efficiency=1.0)
     rec = generate_alice_record(params, 200_000, seed("conj"))
     events = simulate_detections(rec, params, seed("conjd"))
-    mismatch = (events.detectors & 1) != rec.bases[events.pulses]
+    mismatch = (events.detectors & 1) != state_bases(rec.states)[events.pulses]
     assert mismatch.sum() >= 100_000
     bits = events.detectors[mismatch] >> 1
     assert abs(bits.mean() - 0.5) < 0.01

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qkdsim.params import SystemParams
-from qkdsim.rate_model import error_band, predict, write_error_band_csv
+from qkdsim.rate_model import error_band, predict
 
 REFERENCE = SystemParams()  # R=5 MHz, M=0.3, T=1, eta=0.045, t=5 ns
 
@@ -56,10 +56,3 @@ def test_error_band_efficiency_ordering():
     assert np.all(lo[1:] < hi[1:])  # higher efficiency -> lower error
     assert np.all(np.diff(hi) > 0)
 
-
-def test_band_csv_emitter(tmp_path):
-    path = tmp_path / "band.csv"
-    write_error_band_csv(path, REFERENCE, [0.0, 10000.0], simulated_error=[0.027, 0.04])
-    rows = path.read_text().strip().splitlines()
-    assert rows[0] == "background_cps,e_pred_low_eta,e_pred_high_eta,e_sim"
-    assert len(rows) == 3

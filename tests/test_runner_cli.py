@@ -1,17 +1,19 @@
 """Pipeline orchestration, sweeps, CSV output and the command line."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from qkdsim import runner
+from qkdsim import cli, runner
 from qkdsim.cli import load_config, main
 from qkdsim.otp_store import OtpStore
 from qkdsim.params import SystemParams
 from qkdsim.runner import (
     REPORT_COLUMNS,
     RunConfig,
+    RunReport,
     run_once,
     sweep_background,
     sweep_gate,
@@ -310,6 +312,52 @@ def test_cli_rejects_gate_at_demux_delay_before_writing(tmp_path, argv):
     assert not out.exists()
 
 
+def test_sweep_gate_rejects_an_unusable_gate_before_any_output(tmp_path):
+    # without sweep_axis="gate" the config cannot know its axis values are gates
+    cfg = RunConfig(
+        duration_s=0.2,
+        master_seed=SEED,
+        axis_values=(3.0, 45.0),
+        background_values=(0.0,),
+        out_path=str(tmp_path / "gate.csv"),
+        otp_path=str(tmp_path / "pad.otp"),
+    )
+    with pytest.raises(ValueError, match="below the demux delay"):
+        sweep_gate(cfg)
+    assert not (tmp_path / "gate.csv").exists()
+    assert not (tmp_path / "pad.otp").exists()
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["backgroud_rate_cps = 5000", "pulse_period_s = 100e-9", "gate_ns = 3", "values = 0,5000"],
+)
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--sweep", "background", "--values", "0"]])
+def test_cli_rejects_unknown_config_key_before_writing(tmp_path, command, line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"duration = 0.05\n{line}\n")
+    out = tmp_path / "out.csv"
+    key = line.split("=")[0].strip()
+    with pytest.raises(ValueError, match=f"run.cfg:2: unknown key '{key}'"):
+        main(command + ["--config", str(cfg_file), "--out", str(out)])
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["0.01,0.02,0.03,0.04", " 0.01, 0.02 ,0.03,  0.04 "])
+def test_cli_config_passes_four_channel_bers(tmp_path, monkeypatch, text):
+    seen = []
+
+    def record(params, *args, **kwargs):
+        seen.append(params)
+        return RunReport()
+
+    monkeypatch.setattr(cli, "run_once", record)
+    cfg_file = tmp_path / "ber.cfg"
+    cfg_file.write_text(f"base_ber_per_channel = {text}\n")
+    assert main(["run", "--config", str(cfg_file)]) == 0
+    assert seen[0].base_ber_per_channel == (0.01, 0.02, 0.03, 0.04)
+
+
 @pytest.mark.parametrize("duration", ["0", "-1", "nan", "inf", "1e-8"])
 @pytest.mark.parametrize("command", [["run"], ["sweep", "--sweep", "background", "--values", "0"]])
 def test_cli_rejects_duration_without_pulses_before_writing(tmp_path, command, duration):
@@ -367,10 +415,10 @@ def test_params_reject_negative_safety_margin():
         SystemParams(safety_margin_bits=-5)
 
 
-def test_params_reject_pulse_period_inconsistent_with_rate():
-    assert SystemParams(pulse_period_s=200e-9).pulse_period_s == 200e-9
-    assert SystemParams(repetition_rate_hz=10e6, pulse_period_s=100e-9).pulse_period_s == 100e-9
-    with pytest.raises(ValueError, match="1 / repetition rate"):
+def test_params_derive_pulse_period_from_rate():
+    assert SystemParams().pulse_period_s == 200e-9
+    assert replace(SystemParams(), repetition_rate_hz=10e6).pulse_period_s == 100e-9
+    with pytest.raises(TypeError):
         SystemParams(pulse_period_s=100e-9)
     with pytest.raises(ValueError, match="finite and positive"):
         SystemParams(repetition_rate_hz=0.0)

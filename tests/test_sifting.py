@@ -1,5 +1,7 @@
 """Sifting exchange, subset error estimation and channel framing."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,8 +13,10 @@ from qkdsim.photonics import (
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
+    state_bits,
 )
 from qkdsim.rate_model import error_band
+from qkdsim.reconcile import reconcile_keys
 from qkdsim.seeds import derive_seed
 from qkdsim.sifting import (
     MSG_BASIS_ANNOUNCE,
@@ -21,6 +25,7 @@ from qkdsim.sifting import (
     ClassicalChannel,
     SiftedKey,
     estimate_error,
+    log_pa_seed_reference,
     sift,
 )
 from qkdsim.sync import AlignmentResult, GatedEvents, SyncConfig, detect_start, lock_clock
@@ -82,7 +87,7 @@ def test_sift_single_matching_event():
         manual_gated([10], [state]), manual_alignment(0), rec, ClassicalChannel()
     )
     assert len(alice_key) == len(bob_key) == 1
-    assert alice_key.bits[0] == bob_key.bits[0] == rec.bits[10]
+    assert alice_key.bits[0] == bob_key.bits[0] == state_bits(rec.states)[10]
     assert alice_key.n_rec == 1 and alice_key.n_err == 0
 
 
@@ -242,3 +247,48 @@ def test_sift_and_estimate_log_protocol_messages():
     assert MSG_BASIS_ANNOUNCE in types
     assert MSG_MATCH_REPLY in types
     assert MSG_SUBSET_REVEAL in types
+
+
+# Known-answer SHA-256 of the first frame of each message type (u8 type |
+# u32 big-endian length | payload) from one seeded sift -> estimate ->
+# reconcile -> PA-reference pass. Both parties parse these bytes, so they
+# are a cross-party contract: if one ever changes, CHANGES.md must say why.
+FRAME_SHA256 = {
+    1: "194485cf947f0deeb982acbd14025afa3f814ee8da8c11015b40d6585252e418",
+    2: "306278ab6bf86261e5e6585deb30435f29b7a150cd9f29837153fa10890e5aa8",
+    3: "6d2b75c7fa74a6692918f3341d4bfb2dadea8d0ae4087e1b09368baa64d97947",
+    4: "51222728069e97f2d4b798c647b51e0ce2cbbe9fbd5eff8b3df37013f1b74abc",
+    5: "ab535a7526fdfb0e07b90daca0016ff0ce24e90d2906ec001d239f00f3809c75",
+    6: "c1bb280b50b24eb0f476df7a540d1970e9893fb365fdaf6dfcc9c9638d430409",
+}
+
+
+class FirstFrames(ClassicalChannel):
+    """Keeps the first frame ``send`` builds for each message type."""
+
+    def __init__(self):
+        super().__init__()
+        self.first = {}
+
+    def send(self, sender, msg_type, payload):
+        frame = super().send(sender, msg_type, payload)
+        self.first.setdefault(msg_type, frame)
+        return frame
+
+
+def test_channel_frames_match_known_answers():
+    params = SystemParams()
+    rec = generate_alice_record(params, 200_000, seed("kat-r"))
+    ev = simulate_detections(rec, params, seed("kat-d"))
+    gated = manual_gated(ev.pulses, ev.detectors)
+    channel = FirstFrames()
+    alice_key, bob_key = sift(gated, manual_alignment(0, ev.pulses[:50]), rec, channel)
+    error, n_est, alice_key, bob_key = estimate_error(
+        alice_key, bob_key, 0.25, seed("kat-e"), channel
+    )
+    reconcile_keys(
+        alice_key.bits, bob_key.bits, error, seed("kat-fg"), subset_size=n_est, channel=channel
+    )
+    log_pa_seed_reference(channel, 4160, 32)
+    digests = {t: hashlib.sha256(f).hexdigest() for t, f in channel.first.items()}
+    assert digests == FRAME_SHA256

@@ -16,6 +16,8 @@ from qkdsim.photonics import (
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
+    state_bases,
+    state_bits,
 )
 from qkdsim.seeds import derive_seed
 from qkdsim.sync import (
@@ -258,8 +260,8 @@ def test_phase_histogram_shows_two_peaks(tmp_path):
 def aligned_subset(rec, n, offset, error_rate, rng):
     idx = rng.choice(rec.n_pulses - abs(offset) - 1, size=n, replace=False)
     slots = idx - offset
-    bases = rec.bases[idx].copy()
-    bits = rec.bits[idx].copy()
+    bases = state_bases(rec.states)[idx].copy()
+    bits = state_bits(rec.states)[idx].copy()
     flip = rng.random(n) < error_rate
     bits ^= flip.astype(np.uint8)
     return slots, bases, bits
@@ -306,8 +308,8 @@ def test_sparse_align_enforces_minimum_subset():
 
 def _reference_scores(subset_slots, subset_bases, subset_bits, alice, search_range):
     """The original scorer: index/compare tensors over 8192 offsets per chunk."""
-    alice_bases = alice.bases
-    alice_bits = alice.bits
+    alice_bases = state_bases(alice.states)
+    alice_bits = state_bits(alice.states)
     n = alice.n_pulses
     offsets = np.arange(-search_range, search_range + 1, dtype=np.int64)
     scores = np.zeros(offsets.size)
@@ -375,5 +377,7 @@ def test_offset_scores_match_reference_on_a_record_shorter_than_the_search():
     rng = np.random.default_rng(13)
     idx = rng.choice(rec.n_pulses, size=250, replace=False)
     slots = idx - 700
-    scores = assert_scores_match(slots, rec.bases[idx], rec.bits[idx], rec, 5_000)
+    scores = assert_scores_match(
+        slots, state_bases(rec.states)[idx], state_bits(rec.states)[idx], rec, 5_000
+    )
     assert int(np.argmax(scores)) - 5_000 == 700
