@@ -36,7 +36,6 @@ from qkdsim.reconcile import (
     reconcile_keys,
 )
 from qkdsim.privacy import (
-    YieldInputs,
     compress,
     final_length,
     poisson_multi_prob,

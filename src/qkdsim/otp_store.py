@@ -9,16 +9,18 @@ File layout (all integers little-endian):
     header   64 bytes   magic "OTPSTOR1", version u16, pad u16,
                         ledger_capacity u32, ledger_count u32,
                         consumed_offset u64, pad_length u64, crc32 u32
-    ledger   capacity * 40 bytes
+    ledger   capacity * 40 bytes, a ring: entry i (from 0) sits in
+                        slot i % capacity; ledger_count only grows
                         purpose u8, pad 7, offset u64, length u64,
                         timestamp f64, crc32 u32, pad 4
     pad      pad_length bytes, zeroized up to consumed_offset
 
-Crash safety: a consume appends its ledger entry and persists the
+Crash safety: a consume writes its ledger entry and persists the
 advanced offset *before* the bytes are handed to the caller, so a crash
 at any point either loses the bytes (safe) or never served them. On open
-the ledger is scanned past the header's count for valid entries written
-ahead of a crash, and the consumed region is re-zeroized.
+the ring is scanned onward from the header's count for valid entries
+written ahead of a crash, up to one that ends inside the consumed region
+(an older lap), and the consumed region is re-zeroized.
 """
 
 import os
@@ -33,7 +35,7 @@ MAGIC = b"OTPSTOR1"
 VERSION = 1
 HEADER_SIZE = 64
 LEDGER_ENTRY_SIZE = 40
-DEFAULT_LEDGER_CAPACITY = 4096
+DEFAULT_LEDGER_CAPACITY = 64
 
 _HEADER_FMT = "<8sHHIIQQI"
 _ENTRY_FMT = "<B7sQQdI4s"
@@ -120,13 +122,13 @@ class OtpStore:
         """Adopt valid ledger entries written ahead of a crashed header
         update, then re-zeroize the consumed region."""
         scan = self._ledger_count
-        while scan < self._ledger_capacity:
-            entry = self._read_entry(scan)
+        while scan < self._ledger_count + self._ledger_capacity:
+            entry = self._read_entry(scan % self._ledger_capacity)
             if entry is None:
                 break
             end = entry.offset + entry.length
             if end <= self._consumed:
-                break  # stale slot from an older generation
+                break  # stale slot from an older lap
             self._consumed = max(self._consumed, end)
             scan += 1
         if scan != self._ledger_count:
@@ -184,7 +186,12 @@ class OtpStore:
 
     @property
     def ledger(self):
-        return [self._read_entry(i) for i in range(self._ledger_count)]
+        """The last ``min(count, capacity)`` entries, oldest first."""
+        first = max(self._ledger_count - self._ledger_capacity, 0)
+        return [
+            self._read_entry(i % self._ledger_capacity)
+            for i in range(first, self._ledger_count)
+        ]
 
     def consume(self, n_bytes: int, purpose: str) -> bytes:
         """Serve the next ``n_bytes`` of pad for the stated purpose."""
@@ -196,8 +203,6 @@ class OtpStore:
             raise PadDepleted(
                 f"{n_bytes} bytes requested, {self.remaining} remaining"
             )
-        if self._ledger_count >= self._ledger_capacity:
-            raise StorageFailure("ledger is full")
 
         offset = self._consumed
         data = self._pread(self._pad_pos(offset), n_bytes)
@@ -214,7 +219,8 @@ class OtpStore:
             b"\x00" * 4,
         )
         try:
-            self._pwrite(HEADER_SIZE + self._ledger_count * LEDGER_ENTRY_SIZE, entry)
+            slot = self._ledger_count % self._ledger_capacity
+            self._pwrite(HEADER_SIZE + slot * LEDGER_ENTRY_SIZE, entry)
             self._flush()
             self._ledger_count += 1
             self._consumed = offset + n_bytes

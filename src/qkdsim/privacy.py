@@ -9,33 +9,11 @@ the computed length identically.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from qkdsim.errors import LengthInvalid
 from qkdsim.seeds import HashStream
-
-
-@dataclass(frozen=True)
-class YieldInputs:
-    """Everything the final-length bound needs from one finished run."""
-
-    n_rec: int  # sifted bits received
-    n_err: int  # bits publicly spent estimating the error rate
-    error_rate: float  # estimated sifted error rate
-    ec_efficiency: float  # 1 - n_syn / n_rec
-    mean_photon_number: float
-    channel_transmission: float
-    safety_margin_bits: int = 100
-
-    def __post_init__(self):
-        if self.n_rec < 0 or self.n_err < 0:
-            raise ValueError("counts cannot be negative")
-        if not 0 <= self.error_rate <= 1:
-            raise ValueError("error rate must lie in [0, 1]")
-        if not 0 < self.channel_transmission <= 1:
-            raise ValueError("channel transmission must be in (0, 1]")
 
 
 def poisson_multi_prob(mean_photon_number: float) -> float:
@@ -61,7 +39,7 @@ def secure_fraction(mean_photon_number: float, transmission: float) -> float:
     return min(max(b, 0.0), 1.0)
 
 
-def yield_length(
+def final_length(
     n_rec: int,
     n_err: int,
     error_rate: float,
@@ -69,7 +47,7 @@ def yield_length(
     secure_frac: float,
     safety_margin_bits: int,
 ) -> int:
-    """Secret length from the yield bound with all fractions given.
+    """Secret output length for one run; 0 means retain nothing.
 
     n_fin = floor((n_rec - n_err) * b * (E_ec - log2(1 + 4x - 4x^2)) - n_s)
     with x = error_rate / b. The bracket is clamped below at zero before
@@ -83,19 +61,6 @@ def yield_length(
     bracket = max(bracket, 0.0)
     raw = (n_rec - n_err) * secure_frac * bracket - safety_margin_bits
     return max(int(math.floor(raw)), 0)
-
-
-def final_length(inputs: YieldInputs) -> int:
-    """Secret output length for one run; 0 means retain nothing."""
-    b = secure_fraction(inputs.mean_photon_number, inputs.channel_transmission)
-    return yield_length(
-        inputs.n_rec,
-        inputs.n_err,
-        inputs.error_rate,
-        inputs.ec_efficiency,
-        b,
-        inputs.safety_margin_bits,
-    )
 
 
 def toeplitz_hash(key_bits: np.ndarray, out_len: int, diagonal_bits: np.ndarray) -> np.ndarray:

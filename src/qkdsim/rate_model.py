@@ -22,6 +22,9 @@ from qkdsim.params import SystemParams
 
 WORKABLE_ERROR_RATE = 0.08
 BACKGROUND_BOUND_CONSTANT = 75.5
+# detection efficiencies of the receiver's weaker and stronger channels
+ETA_LOW = 0.045
+ETA_HIGH = 0.055
 
 
 @dataclass(frozen=True)
@@ -51,24 +54,19 @@ def predict(params: SystemParams) -> RatePrediction:
     )
 
 
-def error_band(
-    params: SystemParams,
-    background_grid,
-    eta_low: float = 0.045,
-    eta_high: float = 0.055,
-):
+def error_band(params: SystemParams, background_grid):
     """Predicted error rate over a background grid at two efficiencies.
 
     The receiver's channels differ slightly in efficiency, so the pair of
     curves brackets where measured error rates should fall. Returns
-    (high-error curve at eta_low, low-error curve at eta_high).
+    (high-error curve at ETA_LOW, low-error curve at ETA_HIGH).
     """
     grid = np.asarray(background_grid, dtype=np.float64)
     if (grid < 0).any():
         raise ValueError("background grid must be non-negative")
     m_t = params.mean_photon_number * params.channel_transmission
     base = params.base_error_rate
-    curve_low_eta = base + 4.0 * grid * params.gate_width_s / (m_t * eta_low)
-    curve_high_eta = base + 4.0 * grid * params.gate_width_s / (m_t * eta_high)
+    curve_low_eta = base + 4.0 * grid * params.gate_width_s / (m_t * ETA_LOW)
+    curve_high_eta = base + 4.0 * grid * params.gate_width_s / (m_t * ETA_HIGH)
     return curve_low_eta, curve_high_eta
 

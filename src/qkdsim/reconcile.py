@@ -29,12 +29,11 @@ from qkdsim.errors import (
     RateInfeasible,
 )
 from qkdsim.seeds import HashStream, derive_seed
-from qkdsim.sifting import log_key_hash, log_syndrome
+from qkdsim.sifting import QBER_ABORT_THRESHOLD, ClassicalChannel, log_key_hash, log_syndrome
 
 VARIABLE_DEGREE = 3
 MIN_BLOCK_BITS = 256
 MAX_BLOCK_BITS = 1 << 16
-QBER_CEILING = 0.11
 LLR_CLIP = 30.0
 
 # (highest design error rate, code rate): calibrated empirically at
@@ -145,8 +144,8 @@ def rate_for_error(error_estimate: float, subset_size: int | None = None) -> flo
     """
     if error_estimate < 0:
         raise ValueError("error estimate cannot be negative")
-    if error_estimate >= QBER_CEILING:
-        raise ErrorTooHigh(f"error estimate {error_estimate:.4f} >= {QBER_CEILING}")
+    if error_estimate >= QBER_ABORT_THRESHOLD:
+        raise ErrorTooHigh(f"error estimate {error_estimate:.4f} >= {QBER_ABORT_THRESHOLD}")
     if subset_size:
         margin = 3.0 * math.sqrt(
             error_estimate * (1.0 - error_estimate) / subset_size
@@ -238,9 +237,8 @@ def reconcile_keys(
     bob_bits: np.ndarray,
     error_estimate: float,
     seed: bytes,
-    subset_size: int | None = None,
-    channel=None,
-    max_iters: int = 100,
+    subset_size: int | None,
+    channel: ClassicalChannel,
 ):
     """Run the full one-way reconciliation over one key pair.
 
@@ -270,18 +268,16 @@ def reconcile_keys(
             b = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
         graph = build_factor_graph(a.size, rate, derive_seed(seed, f"block{i}"))
         syn = compute_syndrome(a, graph)
-        if channel is not None:
-            log_syndrome(channel, syn)
-        fixed = decode(b, syn, graph, error_estimate, max_iters)
+        log_syndrome(channel, syn)
+        fixed = decode(b, syn, graph, error_estimate)
         n_syn += graph.m
         corrected.append(fixed[: fixed.size - pad] if pad else fixed)
 
     bob_corrected = np.concatenate(corrected) if corrected else np.empty(0, np.uint8)
     digest_a = key_digest(alice_bits)
     digest_b = key_digest(bob_corrected)
-    if channel is not None:
-        log_key_hash(channel, "alice", digest_a)
-        log_key_hash(channel, "bob", digest_b)
+    log_key_hash(channel, "alice", digest_a)
+    log_key_hash(channel, "bob", digest_b)
     if digest_a != digest_b:
         raise HashMismatch("corrected keys differ despite matching syndromes")
     return bob_corrected, n_syn, rate

@@ -18,9 +18,9 @@ When an OTP store is attached, the factor-graph and privacy-amplification
 seeds come out of the pad (32 bytes each, plus a 32-byte authentication
 budget per session) and the finished key tops the pad back up.
 
-Settings shared by every run (lead-in, estimation fraction, alignment
-subset and search range) are module constants; ``open_outputs`` opens
-and closes the pad store and the CSV of a sweep or a single run.
+Settings shared by every run (lead-in, alignment subset and search
+range) are module constants; ``open_outputs`` opens and closes the pad
+store and the CSV of a sweep or a single run.
 """
 
 import csv
@@ -45,6 +45,7 @@ from qkdsim.photonics import (
 from qkdsim.reconcile import reconcile_keys
 from qkdsim.seeds import derive_seed, np_rng
 from qkdsim.sifting import (
+    SUBSET_FRACTION,
     ClassicalChannel,
     estimate_error,
     log_pa_seed_reference,
@@ -57,7 +58,6 @@ SEED_BYTES_PER_PURPOSE = 32
 SESSION_PAD_COST = AUTH_BYTES_PER_SESSION + 2 * SEED_BYTES_PER_PURPOSE
 
 LEAD_IN_S = 0.05  # idle time before the first pulse, for start detection
-SUBSET_FRACTION = 0.25  # share of the sifted key revealed to estimate the error
 # 400 revealed events keep the true-offset score clear of the extreme
 # order statistic of ~2e5 random offsets even at 6-8% error rates
 ALIGNMENT_SUBSET = 400
@@ -263,7 +263,7 @@ def run_once(
 
         stage = "estimate_error"
         error, n_est, alice_key, bob_key = estimate_error(
-            alice_key, bob_key, SUBSET_FRACTION, seed("estimate"), channel
+            alice_key, bob_key, seed("estimate"), channel
         )
         report.n_rec = alice_key.n_rec
         report.n_err = alice_key.n_err
@@ -271,7 +271,7 @@ def run_once(
 
         stage = "reconcile"
         bob_corrected, n_syn, code_rate = reconcile_keys(
-            alice_key.bits, bob_key.bits, error, fg_seed, subset_size=n_est, channel=channel
+            alice_key.bits, bob_key.bits, error, fg_seed, n_est, channel
         )
         report.n_syn = n_syn
         report.code_rate = code_rate
@@ -279,19 +279,12 @@ def run_once(
         report.ec_efficiency = ec_efficiency
 
         stage = "privacy"
-        inputs = privacy.YieldInputs(
-            n_rec=alice_key.n_rec,
-            n_err=alice_key.n_err,
-            error_rate=error,
-            ec_efficiency=ec_efficiency,
-            mean_photon_number=params.mean_photon_number,
-            channel_transmission=params.channel_transmission,
-            safety_margin_bits=params.safety_margin_bits,
+        b = privacy.secure_fraction(params.mean_photon_number, params.channel_transmission)
+        report.secure_fraction = b
+        bound = privacy.final_length(
+            alice_key.n_rec, alice_key.n_err, error, ec_efficiency, b, params.safety_margin_bits
         )
-        report.secure_fraction = privacy.secure_fraction(
-            params.mean_photon_number, params.channel_transmission
-        )
-        n_fin = min(privacy.final_length(inputs), int(alice_key.bits.size))
+        n_fin = min(bound, int(alice_key.bits.size))
         log_pa_seed_reference(channel, pa_offset, SEED_BYTES_PER_PURPOSE)
         final_alice = privacy.compress(alice_key.bits, n_fin, pa_seed)
         final_bob = privacy.compress(bob_corrected, n_fin, pa_seed)

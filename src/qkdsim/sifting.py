@@ -30,8 +30,9 @@ MSG_SYNDROME = 4
 MSG_PA_SEED = 5
 MSG_KEY_HASH = 6
 
-QBER_ABORT_THRESHOLD = 0.11
+QBER_ABORT_THRESHOLD = 0.11  # estimates at or above it abort the run
 MIN_KEY_FOR_ESTIMATE = 500
+SUBSET_FRACTION = 0.25  # share of the sifted key revealed to estimate the error
 
 
 class ClassicalChannel:
@@ -100,7 +101,7 @@ def sift(
     gated: GatedEvents,
     alignment: AlignmentResult,
     alice: AliceRecord,
-    channel: ClassicalChannel | None = None,
+    channel: ClassicalChannel,
 ):
     """Run the sifting exchange; returns (alice_key, bob_key).
 
@@ -124,13 +125,12 @@ def sift(
     a_states = alice.states[np.clip(a_idx, 0, alice.n_pulses - 1)]
     basis_match = in_record & (state_bases(a_states) == (dets & 1))
 
-    if channel is not None:
-        payload = (
-            struct.pack("<I", int(slots.size))
-            + slots.astype("<i8").tobytes()
-            + (dets & 1).astype(np.uint8).tobytes()
-        )
-        channel.send("bob", MSG_BASIS_ANNOUNCE, payload)
+    payload = (
+        struct.pack("<I", int(slots.size))
+        + slots.astype("<i8").tobytes()
+        + (dets & 1).astype(np.uint8).tobytes()
+    )
+    channel.send("bob", MSG_BASIS_ANNOUNCE, payload)
 
     matched_keep = single & ~revealed & basis_match
 
@@ -143,12 +143,11 @@ def sift(
     bob_bits = (dets[matched_keep][order] >> 1).astype(np.uint8)
     alice_bits = state_bits(a_states[matched_keep][order])
 
-    if channel is not None:
-        channel.send(
-            "alice",
-            MSG_MATCH_REPLY,
-            struct.pack("<I", int(kept_slots.size)) + kept_slots.astype("<i8").tobytes(),
-        )
+    channel.send(
+        "alice",
+        MSG_MATCH_REPLY,
+        struct.pack("<I", int(kept_slots.size)) + kept_slots.astype("<i8").tobytes(),
+    )
 
     n_rec = int(kept_slots.size) + n_revealed_matched
     alice_key = SiftedKey(alice_bits, kept_slots.copy(), n_rec, n_revealed_matched)
@@ -159,41 +158,35 @@ def sift(
 def estimate_error(
     alice_key: SiftedKey,
     bob_key: SiftedKey,
-    subset_fraction: float,
     seed: bytes,
-    channel: ClassicalChannel | None = None,
-    threshold: float = QBER_ABORT_THRESHOLD,
-    min_length: int = MIN_KEY_FOR_ESTIMATE,
+    channel: ClassicalChannel,
 ):
     """Compare a random public subset; returns (error, n_err, alice', bob').
 
-    The subset is removed from both keys. Raises QberAboveThreshold when
-    the estimate crosses the abort line: at that disturbance an
-    eavesdropper must be assumed and the run yields nothing.
+    The subset (SUBSET_FRACTION of the key) leaves both keys. Raises
+    QberAboveThreshold at an estimate of QBER_ABORT_THRESHOLD or more: at
+    that disturbance an eavesdropper must be assumed and nothing is kept.
     """
     if len(alice_key) != len(bob_key):
         raise ValueError("keys must have equal length")
     if not np.array_equal(alice_key.pulse_slots, bob_key.pulse_slots):
         raise ValueError("keys must cover the same slots")
     n = len(alice_key)
-    if n < min_length:
-        raise InsufficientData(f"key too short to estimate on: {n} < {min_length}")
-    if not 0 < subset_fraction < 1:
-        raise ValueError("subset fraction must lie in (0, 1)")
+    if n < MIN_KEY_FOR_ESTIMATE:
+        raise InsufficientData(f"key too short to estimate on: {n} < {MIN_KEY_FOR_ESTIMATE}")
 
-    k = max(int(round(n * subset_fraction)), 1)
+    k = max(int(round(n * SUBSET_FRACTION)), 1)
     rng = np_rng(seed)
     reveal = np.sort(rng.choice(n, size=k, replace=False))
     wrong = int((alice_key.bits[reveal] != bob_key.bits[reveal]).sum())
     error = wrong / k
 
-    if channel is not None:
-        payload = (
-            struct.pack("<I", k)
-            + reveal.astype("<u4").tobytes()
-            + bob_key.bits[reveal].astype(np.uint8).tobytes()
-        )
-        channel.send("bob", MSG_SUBSET_REVEAL, payload)
+    payload = (
+        struct.pack("<I", k)
+        + reveal.astype("<u4").tobytes()
+        + bob_key.bits[reveal].astype(np.uint8).tobytes()
+    )
+    channel.send("bob", MSG_SUBSET_REVEAL, payload)
 
     keep = np.ones(n, dtype=bool)
     keep[reveal] = False
@@ -207,8 +200,8 @@ def estimate_error(
         )
 
     alice_out, bob_out = _trim(alice_key), _trim(bob_key)
-    if error > threshold:
+    if error >= QBER_ABORT_THRESHOLD:
         raise QberAboveThreshold(
-            f"estimated error {error:.4f} above {threshold}: aborting"
+            f"estimated error {error:.4f} at or above {QBER_ABORT_THRESHOLD}: aborting"
         )
     return error, k, alice_out, bob_out

@@ -177,6 +177,64 @@ def test_crash_injection_never_reserves_bytes(tmp_path):
         final.close()
 
 
+def test_ledger_ring_outlives_its_capacity(tmp_path):
+    """10^4 consume + top-up sessions through a 4-slot ledger: no byte is
+    served twice, and the ledger keeps the last 4 contiguous entries."""
+    capacity = 4
+    path = tmp_path / "soak.otp"
+    store = OtpStore.create(path, bytes(i % 251 for i in range(64)), ledger_capacity=capacity)
+    served = 0  # pad bytes encode their absolute position, so reuse is detectable
+    appended = 64
+    for session in range(10_000):
+        n = 1 + session % 16
+        assert store.consume(n, "export") == bytes((served + i) % 251 for i in range(n))
+        served += n
+        store.top_up(bytes((appended + i) % 251 for i in range(n)))
+        appended += n
+        if session % 2500 == 2499:
+            store.close()
+            store = OtpStore(path)
+    assert store.consumed_offset == served
+    ledger = store.ledger
+    assert len(ledger) == capacity
+    assert ledger[-1].offset + ledger[-1].length == served
+    assert all(a.offset + a.length == b.offset for a, b in zip(ledger, ledger[1:]))
+    store.close()
+
+
+def test_crash_injection_across_the_ledger_wrap(tmp_path):
+    """A crash at each write of a consume, with the ledger at every count
+    around its first and second wrap, never re-serves a byte and leaves a
+    ledger that ends where consumption does."""
+    capacity = 3
+    pad = bytes(i % 251 for i in range(1024))
+    for count in range(2 * capacity + 1):
+        for fail_after in range(3):  # ledger entry, header, zeroization
+            path = tmp_path / f"wrap{count}-{fail_after}.otp"
+            OtpStore.create(path, pad, ledger_capacity=capacity).close()
+            store = FaultyStore(path)
+            for _ in range(count):
+                store.consume(8, "export")
+            high_water = store.consumed_offset
+            store.arm(fail_after)
+            with pytest.raises(StorageFailure):
+                store.consume(8, "export")
+            store.close()
+            store = OtpStore(path)
+            # a crash after the entry is written loses the range, never repeats it
+            entries = count + (fail_after > 0)
+            assert store.consumed_offset == high_water + 8 * (fail_after > 0)
+            for _ in range(capacity + 1):
+                offset = store.consumed_offset
+                assert store.consume(5, "export") == pad[offset : offset + 5]
+                entries += 1
+                ledger = store.ledger
+                assert len(ledger) == min(entries, capacity)
+                assert ledger[-1].offset + ledger[-1].length == store.consumed_offset
+                assert all(a.offset + a.length == b.offset for a, b in zip(ledger, ledger[1:]))
+            store.close()
+
+
 # Known-answer SHA-256 of the 64-byte header of a fresh store after one
 # consume. The other party and later opens parse it, so it is a byte
 # contract; ledger entries carry timestamps and are not pinned.

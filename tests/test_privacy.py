@@ -8,13 +8,11 @@ import pytest
 
 from qkdsim.errors import LengthInvalid
 from qkdsim.privacy import (
-    YieldInputs,
     compress,
     final_length,
     poisson_multi_prob,
     secure_fraction,
     toeplitz_hash,
-    yield_length,
 )
 from qkdsim.seeds import HashStream, derive_seed
 
@@ -71,47 +69,28 @@ def test_secure_fraction_monotone_in_mean_photon_number():
 
 
 def test_yield_lossless_corner():
-    assert yield_length(16875, 0, 0.0, 1.0, 1.0, 0) == 16875
+    assert final_length(16875, 0, 0.0, 1.0, 1.0, 0) == 16875
 
 
 def test_final_length_frozen_example():
     # direct evaluation of the bound at the worked operating point
     # (high-precision oracle value: 3524.1375...)
-    inputs = YieldInputs(
-        n_rec=16875,
-        n_err=4219,
-        error_rate=0.027,
-        ec_efficiency=0.5,
-        mean_photon_number=0.3,
-        channel_transmission=1.0,
-        safety_margin_bits=100,
-    )
-    assert final_length(inputs) == 3524
+    assert final_length(16875, 4219, 0.027, 0.5, secure_fraction(0.3, 1.0), 100) == 3524
 
 
 def test_final_length_zero_when_error_reaches_secure_fraction():
-    inputs = YieldInputs(
-        n_rec=10000,
-        n_err=0,
-        error_rate=0.86,
-        ec_efficiency=1.0,
-        mean_photon_number=0.3,
-        channel_transmission=1.0,
-    )
-    assert final_length(inputs) == 0
+    assert final_length(10000, 0, 0.86, 1.0, secure_fraction(0.3, 1.0), 100) == 0
 
 
 def test_yield_collapses_as_error_approaches_half_secure_fraction():
     # the bracket crosses E_ec - 1 there, so the yield clamps to zero
     b = secure_fraction(0.3, 1.0)
-    assert yield_length(10000, 0, 0.499 * b, 0.9, b, 100) == 0
+    assert final_length(10000, 0, 0.499 * b, 0.9, b, 100) == 0
 
 
 def test_final_length_monotone_over_grid():
     def value(n_rec=20000, n_err=5000, eps=0.03):
-        return final_length(
-            YieldInputs(n_rec, n_err, eps, 0.6, 0.3, 1.0, safety_margin_bits=100)
-        )
+        return final_length(n_rec, n_err, eps, 0.6, secure_fraction(0.3, 1.0), 100)
 
     eps_grid = np.linspace(0.0, 0.1, 15)
     yields = [value(eps=e) for e in eps_grid]

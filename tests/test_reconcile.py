@@ -24,6 +24,7 @@ from qkdsim.reconcile import (
     reconcile_keys,
 )
 from qkdsim.seeds import HashStream, derive_seed
+from qkdsim.sifting import ClassicalChannel
 
 SEED = derive_seed(bytes(32), "reconcile-tests")
 
@@ -124,7 +125,7 @@ def test_padded_block_graph_known_answer(monkeypatch):
     rng = np.random.default_rng(31)
     alice = rng.integers(0, 2, 200).astype(np.uint8)
     bob = alice ^ (rng.random(200) < 0.02).astype(np.uint8)
-    rec.reconcile_keys(alice, bob, 0.02, SEED)
+    rec.reconcile_keys(alice, bob, 0.02, SEED, None, ClassicalChannel())
     assert [_fingerprint(g) for g in built] == [PADDED_BLOCK_KNOWN_ANSWER]
 
 
@@ -264,7 +265,7 @@ def test_reconcile_keys_efficiency_accounting():
     n = 12_000
     alice = rng.integers(0, 2, n).astype(np.uint8)
     bob = alice ^ (rng.random(n) < 0.027).astype(np.uint8)
-    corrected, n_syn, rate = reconcile_keys(alice, bob, 0.027, SEED, subset_size=4000)
+    corrected, n_syn, rate = reconcile_keys(alice, bob, 0.027, SEED, 4000, ClassicalChannel())
     assert np.array_equal(corrected, alice)
     # exactly one block, syndrome count follows the rate
     assert n_syn == int(round(n * (1 - rate)))
@@ -274,7 +275,7 @@ def test_reconcile_keys_pads_short_blocks():
     rng = np.random.default_rng(23)
     alice = rng.integers(0, 2, 300).astype(np.uint8)
     bob = alice ^ (rng.random(300) < 0.02).astype(np.uint8)
-    corrected, n_syn, _ = reconcile_keys(alice, bob, 0.02, SEED)
+    corrected, n_syn, _ = reconcile_keys(alice, bob, 0.02, SEED, None, ClassicalChannel())
     assert corrected.size == 300
     assert np.array_equal(corrected, alice)
 
@@ -293,4 +294,4 @@ def test_reconcile_keys_hash_catches_mismatch(monkeypatch):
 
     monkeypatch.setattr(rec, "decode", broken_decode)
     with pytest.raises(HashMismatch):
-        rec.reconcile_keys(alice, bob, 0.01, SEED)
+        rec.reconcile_keys(alice, bob, 0.01, SEED, None, ClassicalChannel())

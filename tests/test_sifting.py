@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qkdsim.errors import QberAboveThreshold
+from qkdsim.errors import ErrorTooHigh, QberAboveThreshold
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     add_background,
@@ -16,12 +16,13 @@ from qkdsim.photonics import (
     state_bits,
 )
 from qkdsim.rate_model import error_band
-from qkdsim.reconcile import reconcile_keys
-from qkdsim.seeds import derive_seed
+from qkdsim.reconcile import rate_for_error, reconcile_keys
+from qkdsim.seeds import derive_seed, np_rng
 from qkdsim.sifting import (
     MSG_BASIS_ANNOUNCE,
     MSG_MATCH_REPLY,
     MSG_SUBSET_REVEAL,
+    QBER_ABORT_THRESHOLD,
     ClassicalChannel,
     SiftedKey,
     estimate_error,
@@ -95,7 +96,7 @@ def test_sift_discards_conjugate_basis_and_unfired_slots():
     rec = generate_alice_record(SystemParams(), 100, seed("disc"))
     rec.states[20] = 0  # rectilinear pulse
     gated = manual_gated([20, 20_000], [1, 0])  # diagonal detector; out of range
-    alice_key, bob_key = sift(gated, manual_alignment(0), rec, None)
+    alice_key, bob_key = sift(gated, manual_alignment(0), rec, ClassicalChannel())
     assert len(alice_key) == 0
     assert len(bob_key) == 0
 
@@ -105,7 +106,7 @@ def test_sift_discards_double_fire_slots():
     rec.states[5] = 0
     rec.states[6] = 0
     gated = manual_gated([5, 5, 6], [0, 2, 0])  # slot 5 fired two detectors
-    alice_key, _ = sift(gated, manual_alignment(0), rec, None)
+    alice_key, _ = sift(gated, manual_alignment(0), rec, ClassicalChannel())
     assert list(alice_key.pulse_slots) == [6]
 
 
@@ -132,7 +133,7 @@ def test_sift_zero_error_without_noise_sources():
     truth = stream.truth_pulses[gated.tag_indices]
     offs = gated.slots - truth
     offset = -int(np.bincount((offs - offs.min())).argmax() + offs.min())
-    alice_key, bob_key = sift(gated, manual_alignment(offset), rec, None)
+    alice_key, bob_key = sift(gated, manual_alignment(offset), rec, ClassicalChannel())
     assert len(alice_key) > 1000
     assert np.array_equal(alice_key.bits, bob_key.bits)
 
@@ -148,7 +149,7 @@ def test_sift_background_only_events_are_coin_flips():
     gated = manual_gated(
         np.arange(ev.n_events), ev.detectors
     )  # pretend each landed in its own slot
-    alice_key, bob_key = sift(gated, manual_alignment(0), rec, None)
+    alice_key, bob_key = sift(gated, manual_alignment(0), rec, ClassicalChannel())
     assert len(alice_key) > 500
     disagreement = (alice_key.bits != bob_key.bits).mean()
     assert abs(disagreement - 0.5) < 3 * np.sqrt(0.25 / len(alice_key))
@@ -158,7 +159,7 @@ def test_sift_full_key_disagreement_inside_efficiency_band():
     # end-to-end error convergence against the closed-form band
     b = 20000.0
     rec, gated, stream, offset = gated_run("band", background_cps=b)
-    alice_key, bob_key = sift(gated, manual_alignment(offset), rec, None)
+    alice_key, bob_key = sift(gated, manual_alignment(offset), rec, ClassicalChannel())
     disagreement = (alice_key.bits != bob_key.bits).mean()
     params = SystemParams(background_rate_cps=b)
     hi, lo = error_band(params, [b])
@@ -170,7 +171,7 @@ def test_sift_excludes_revealed_alignment_subset():
     rec, gated, stream, offset = gated_run("excl")
     revealed = gated.slots[:50]
     alignment = manual_alignment(offset, slots=revealed)
-    alice_key, _ = sift(gated, alignment, rec, None)
+    alice_key, _ = sift(gated, alignment, rec, ClassicalChannel())
     assert not np.isin(alice_key.pulse_slots, revealed).any()
     assert alice_key.n_err > 0  # matched revealed events are spent bits
     assert alice_key.n_rec == len(alice_key) + alice_key.n_err
@@ -181,7 +182,7 @@ def test_estimate_error_identical_keys():
     slots = np.arange(2000, dtype=np.int64)
     a = SiftedKey(bits.copy(), slots.copy(), 2000)
     b = SiftedKey(bits.copy(), slots.copy(), 2000)
-    error, k, a2, b2 = estimate_error(a, b, 0.25, seed("est0"), ClassicalChannel())
+    error, k, a2, b2 = estimate_error(a, b, seed("est0"), ClassicalChannel())
     assert error == 0.0
     assert k == 500
     assert len(a2) == 1500
@@ -198,7 +199,7 @@ def test_estimate_error_matches_injected_rate():
     slots = np.arange(n, dtype=np.int64)
     a = SiftedKey(bits, slots.copy(), n)
     b = SiftedKey(bits ^ flips, slots.copy(), n)
-    error, k, a2, b2 = estimate_error(a, b, 0.25, seed("est8"))
+    error, k, a2, b2 = estimate_error(a, b, seed("est8"), ClassicalChannel())
     sigma = np.sqrt(0.08 * 0.92 / k)
     assert abs(error - 0.08) < 3 * sigma
     # the subset is destroyed: remaining keys contain none of it
@@ -214,7 +215,28 @@ def test_estimate_error_aborts_above_threshold():
     a = SiftedKey(bits, slots.copy(), n)
     b = SiftedKey(bits ^ flips, slots.copy(), n)
     with pytest.raises(QberAboveThreshold):
-        estimate_error(a, b, 0.25, seed("abort"))
+        estimate_error(a, b, seed("abort"), ClassicalChannel())
+
+
+def test_estimate_error_aborts_at_the_threshold_reconcile_rejects():
+    # 55 of the 500 revealed bits differ: the estimate is exactly 0.11,
+    # which no code rate covers, so estimation itself must abort
+    n = 2000
+    bits = np.zeros(n, dtype=np.uint8)
+    slots = np.arange(n, dtype=np.int64)
+    reveal = np.sort(np_rng(seed("edge")).choice(n, size=500, replace=False))
+    flipped = bits.copy()
+    flipped[reveal[:55]] = 1
+    assert 55 / 500 == QBER_ABORT_THRESHOLD
+    with pytest.raises(ErrorTooHigh):
+        rate_for_error(55 / 500, 500)
+    with pytest.raises(QberAboveThreshold):
+        estimate_error(
+            SiftedKey(bits, slots.copy(), n),
+            SiftedKey(flipped, slots.copy(), n),
+            seed("edge"),
+            ClassicalChannel(),
+        )
 
 
 def test_estimate_error_requires_minimum_length():
@@ -224,8 +246,8 @@ def test_estimate_error_requires_minimum_length():
         estimate_error(
             SiftedKey(bits.copy(), slots.copy(), 100),
             SiftedKey(bits.copy(), slots.copy(), 100),
-            0.25,
             seed("short"),
+            ClassicalChannel(),
         )
 
 
@@ -242,7 +264,7 @@ def test_sift_and_estimate_log_protocol_messages():
     rec, gated, stream, offset = gated_run("log")
     channel = ClassicalChannel()
     alice_key, bob_key = sift(gated, manual_alignment(offset), rec, channel)
-    estimate_error(alice_key, bob_key, 0.25, seed("log2"), channel)
+    estimate_error(alice_key, bob_key, seed("log2"), channel)
     types = [t for _, t, _ in channel.log]
     assert MSG_BASIS_ANNOUNCE in types
     assert MSG_MATCH_REPLY in types
@@ -284,11 +306,9 @@ def test_channel_frames_match_known_answers():
     channel = FirstFrames()
     alice_key, bob_key = sift(gated, manual_alignment(0, ev.pulses[:50]), rec, channel)
     error, n_est, alice_key, bob_key = estimate_error(
-        alice_key, bob_key, 0.25, seed("kat-e"), channel
+        alice_key, bob_key, seed("kat-e"), channel
     )
-    reconcile_keys(
-        alice_key.bits, bob_key.bits, error, seed("kat-fg"), subset_size=n_est, channel=channel
-    )
+    reconcile_keys(alice_key.bits, bob_key.bits, error, seed("kat-fg"), n_est, channel)
     log_pa_seed_reference(channel, 4160, 32)
     digests = {t: hashlib.sha256(f).hexdigest() for t, f in channel.first.items()}
     assert digests == FRAME_SHA256
