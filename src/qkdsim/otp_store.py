@@ -66,7 +66,11 @@ class OtpStore:
         self._ledger_count = 0
         self._consumed = 0
         self._pad_length = 0
-        self._open()
+        try:
+            self._open()
+        except BaseException:
+            self.close()
+            raise
 
     # -- construction ------------------------------------------------------
 
@@ -131,12 +135,15 @@ class OtpStore:
                 break  # stale slot from an older lap
             self._consumed = max(self._consumed, end)
             scan += 1
-        if scan != self._ledger_count:
-            self._ledger_count = scan
-            self._write_header()
-        if self._consumed > 0:
-            self._pwrite(self._pad_pos(0), b"\x00" * self._consumed)
-            self._flush()
+        try:
+            if scan != self._ledger_count:
+                self._ledger_count = scan
+                self._write_header()
+            if self._consumed > 0:
+                self._pwrite(self._pad_pos(0), b"\x00" * self._consumed)
+                self._flush()
+        except OSError as exc:
+            raise StorageFailure(f"write failed during recovery: {exc}") from exc
 
     # -- low-level IO (kept small so tests can inject faults) ---------------
 

@@ -362,6 +362,7 @@ def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvent
 # alignment
 
 _MIN_MATCHED_FOR_SCORE = 20
+_COUNTER_FLUSH = 255  # events a uint8 partial counter holds without wrapping
 
 
 def _offset_scores(
@@ -374,24 +375,55 @@ def _offset_scores(
     """Agreement score at each offset in [-search_range, search_range].
 
     Event (s, b, v) meets Alice's pulse s + o at offset o, so for every
-    event one slice of her record adds its basis matches and its
-    agreements to the per-offset counters; slots whose pulse falls
-    outside the record add nothing. Offsets with fewer than
+    event one slice of her record is XORed with the event's code
+    ``v << 1 | b``: a zero marks an agreement and a set low bit a basis
+    mismatch. Both are added to uint8 partial counters, flushed into
+    int32 totals every ``_COUNTER_FLUSH`` events, so every count is an
+    exact integer. Basis matches are each offset's coverage (a difference
+    array over the events' slices) minus its mismatches; slots whose
+    pulse falls outside the record add nothing. Offsets with fewer than
     ``_MIN_MATCHED_FOR_SCORE`` basis matches score 0.
     """
     states = alice.states
     n = states.size
-    matched = np.zeros(2 * search_range + 1, dtype=np.int32)
-    agree = np.zeros_like(matched)
+    width = 2 * search_range + 1
+    agree = np.zeros(width, dtype=np.int32)
+    mismatch = np.zeros(width, dtype=np.int32)
+    edges = np.zeros(width + 1, dtype=np.int32)
+    agree8 = np.zeros(width, dtype=np.uint8)
+    mismatch8 = np.zeros(width, dtype=np.uint8)
+    x = np.empty(width, dtype=np.uint8)
+    hit = np.empty(width, dtype=np.bool_)
+    pending = 0
     for s, b, v in zip(subset_slots.tolist(), subset_bases.tolist(), subset_bits.tolist()):
         a0 = max(s - search_range, 0)
         a1 = min(s + search_range + 1, n)
         if a0 >= a1 or b > 1:  # a basis outside {0, 1} matches no pulse
             continue
-        seg = states[a0:a1]
         c0 = a0 - (s - search_range)
-        matched[c0 : c0 + seg.size] += (seg & 1) == b
-        agree[c0 : c0 + seg.size] += seg == (v << 1 | b)
+        c1 = c0 + (a1 - a0)
+        xs, hits = x[: a1 - a0], hit[: a1 - a0]
+        # a bit above 1 agrees with no state, and code 4 | b keeps the basis
+        np.bitwise_xor(states[a0:a1], min(v, 2) << 1 | b, out=xs)
+        np.equal(xs, 0, out=hits)
+        np.add(agree8[c0:c1], hits.view(np.uint8), out=agree8[c0:c1])
+        np.bitwise_and(xs, 1, out=xs)
+        np.add(mismatch8[c0:c1], xs, out=mismatch8[c0:c1])
+        edges[c0] += 1
+        edges[c1] -= 1
+        pending += 1
+        if pending == _COUNTER_FLUSH:
+            agree += agree8
+            mismatch += mismatch8
+            agree8.fill(0)
+            mismatch8.fill(0)
+            pending = 0
+    agree += agree8
+    mismatch += mismatch8
+    del agree8, mismatch8, x, hit
+    matched = np.cumsum(edges[:-1], dtype=np.int32)
+    matched -= mismatch
+    del edges, mismatch
     return np.where(matched >= _MIN_MATCHED_FOR_SCORE, agree / np.maximum(matched, 1), 0.0)
 
 
@@ -417,10 +449,10 @@ def sparse_align(
         )
 
     scores = _offset_scores(subset_slots, subset_bases, subset_bits, alice, search_range)
-    order = np.argsort(scores)
-    best = int(order[-1])
-    runner = float(scores[order[-2]]) if scores.size > 1 else 0.0
+    best = int(np.argmax(scores))
     best_score = float(scores[best])
+    # a tie at the top makes the runner-up equal the best
+    runner = float(max(scores[:best].max(initial=0.0), scores[best + 1 :].max(initial=0.0)))
     if best_score - runner < ALIGNMENT_MARGIN:
         raise AmbiguousAlignment(
             f"top scores {best_score:.3f} vs {runner:.3f} within margin {ALIGNMENT_MARGIN}"

@@ -177,6 +177,28 @@ def test_crash_injection_never_reserves_bytes(tmp_path):
         final.close()
 
 
+def test_write_failure_while_opening_is_a_storage_failure(tmp_path):
+    """A crash in recovery's re-zeroization raises StorageFailure, closes
+    the file and leaves a store that opens cleanly afterwards."""
+    path = tmp_path / "reopen.otp"
+    pad = bytes(range(64))
+    with OtpStore.create(path, pad) as store:
+        store.consume(10, "export")
+    opened = []
+
+    class RecordingFaultyStore(FaultyStore):
+        def _open(self):
+            opened.append(self)
+            super()._open()
+
+    with pytest.raises(StorageFailure, match="injected crash"):
+        RecordingFaultyStore(path, fail_after=0)
+    assert opened[0]._fh is None
+    with OtpStore(path) as store:
+        assert store.consumed_offset == 10
+        assert store.consume(4, "export") == pad[10:14]
+
+
 def test_ledger_ring_outlives_its_capacity(tmp_path):
     """10^4 consume + top-up sessions through a 4-slot ledger: no byte is
     served twice, and the ledger keeps the last 4 contiguous entries."""

@@ -1,6 +1,7 @@
 """Start detection, clock lock, gating and sparse alignment."""
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -381,3 +382,74 @@ def test_offset_scores_match_reference_on_a_record_shorter_than_the_search():
         slots, state_bases(rec.states)[idx], state_bits(rec.states)[idx], rec, 5_000
     )
     assert int(np.argmax(scores)) - 5_000 == 700
+
+
+@pytest.mark.parametrize("n_events", [255, 256, 510, 1000])
+def test_offset_scores_match_reference_across_the_counter_flush(n_events):
+    # Aligned events put every event's agreement on one offset, and each
+    # other offset collects about n/2 basis mismatches, so both counters
+    # pass 255 once n does.
+    rec = generate_alice_record(SystemParams(), 20_000, seed(f"flush{n_events}"))
+    rng = np.random.default_rng(n_events)
+    slots, bases, bits = aligned_subset(rec, n_events, 321, 0.02, rng)
+    scores = assert_scores_match(slots, bases, bits, rec, 3_000)
+    assert int(np.argmax(scores)) - 3_000 == 321
+
+
+def test_offset_scores_match_reference_with_out_of_range_bases_and_bits():
+    rec = generate_alice_record(SystemParams(), 30_000, seed("ref-odd"))
+    rng = np.random.default_rng(14)
+    slots, bases, bits = aligned_subset(rec, 400, -50, 0.0, rng)
+    bases[::7] = 2  # a basis of 2 matches nothing
+    bases[3::11] = 255
+    bits[5::13] = 2  # a bit of 2 matches the basis but agrees with no state
+    bits[6::17] = 255
+    assert_scores_match(slots, bases, bits, rec, 2_000)
+
+
+def test_offset_scores_match_reference_with_repeated_slots():
+    rec = generate_alice_record(SystemParams(), 30_000, seed("ref-rep"))
+    rng = np.random.default_rng(15)
+    slots, bases, bits = aligned_subset(rec, 150, 40, 0.1, rng)
+    slots = np.concatenate([slots, slots, slots[:50]])
+    bases = np.concatenate([bases, 1 - bases, bases[:50]])
+    bits = np.concatenate([bits, bits, 1 - bits[:50]])
+    assert_scores_match(slots, bases, bits, rec, 2_000)
+
+
+def test_offset_scores_match_reference_at_zero_search_range():
+    rec = generate_alice_record(SystemParams(), 5_000, seed("ref-zero"))
+    rng = np.random.default_rng(16)
+    slots, bases, bits = aligned_subset(rec, 300, 0, 0.05, rng)
+    scores = assert_scores_match(slots, bases, bits, rec, 0)
+    assert scores.shape == (1,) and scores[0] > 0.9
+
+
+def test_sparse_align_runner_up_is_the_second_highest_score():
+    rec = generate_alice_record(SystemParams(), 100_000, seed("al-runner"))
+    rng = np.random.default_rng(17)
+    slots, bases, bits = aligned_subset(rec, 400, 777, 0.05, rng)
+    result = sparse_align(slots, bases, bits, rec, search_range=5000)
+    reference = _reference_scores(
+        np.asarray(slots, np.int64), bases, bits, rec, 5000
+    )
+    order = np.argsort(reference)
+    assert result.start_offset_pulses == int(order[-1]) - 5000 == 777
+    assert result.match_score == reference[order[-1]]
+    assert result.runner_up_score == reference[order[-2]]
+
+
+def test_sparse_align_raises_on_a_planted_tie_at_the_top():
+    # A record that repeats every 1000 pulses scores offsets 1000 apart alike.
+    period = generate_alice_record(SystemParams(), 1_000, seed("al-tie"))
+    rec = replace(period, states=np.tile(period.states, 20))
+    rng = np.random.default_rng(18)
+    idx = rng.choice(np.arange(5_000, 15_000), size=300, replace=False)
+    slots = idx - 200
+    bases = state_bases(rec.states)[idx]
+    bits = state_bits(rec.states)[idx]
+    scores = _offset_scores(slots, bases, bits, rec, 1_500)
+    top = np.flatnonzero(scores == scores.max())
+    assert top.tolist() == [700, 1700, 2700]  # offsets -800, 200 and 1200
+    with pytest.raises(AmbiguousAlignment, match="1.000 vs 1.000"):
+        sparse_align(slots, bases, bits, rec, search_range=1_500)
