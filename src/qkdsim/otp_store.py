@@ -23,6 +23,7 @@ written ahead of a crash, up to one that ends inside the consumed region
 (an older lap), and the consumed region is re-zeroized.
 """
 
+import contextlib
 import os
 import struct
 import time
@@ -69,7 +70,9 @@ class OtpStore:
         try:
             self._open()
         except BaseException:
-            self.close()
+            # A flush that fails again on close must not hide the error.
+            with contextlib.suppress(OSError):
+                self.close()
             raise
 
     # -- construction ------------------------------------------------------
@@ -253,9 +256,9 @@ class OtpStore:
             raise StorageFailure(f"write failed during top-up: {exc}") from exc
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        fh, self._fh = self._fh, None
+        if fh is not None:
+            fh.close()
 
     def __enter__(self):
         return self

@@ -1,6 +1,8 @@
 """Pad-store consumption, top-up, persistence and crash safety."""
 
+import errno
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -194,6 +196,34 @@ def test_write_failure_while_opening_is_a_storage_failure(tmp_path):
     with pytest.raises(StorageFailure, match="injected crash"):
         RecordingFaultyStore(path, fail_after=0)
     assert opened[0]._fh is None
+    with OtpStore(path) as store:
+        assert store.consumed_offset == 10
+        assert store.consume(4, "export") == pad[10:14]
+
+
+def test_flush_failure_while_opening_is_a_storage_failure(tmp_path, monkeypatch):
+    """A disk that fails every flush: recovery's flush and the retry on
+    close both fail, and the StorageFailure still wins with the file closed."""
+    path = tmp_path / "full.otp"
+    pad = bytes(range(64))
+    with OtpStore.create(path, pad) as store:
+        store.consume(10, "export")
+
+    class FullDisk(io.BufferedRandom):
+        def flush(self):
+            raise OSError(errno.ENOSPC, "injected: no space left on device")
+
+    files = []
+
+    def open_full_disk(file, mode):
+        files.append(FullDisk(io.FileIO(file, mode)))
+        return files[-1]
+
+    monkeypatch.setattr("qkdsim.otp_store.open", open_full_disk, raising=False)
+    with pytest.raises(StorageFailure, match="no space left"):
+        OtpStore(path)
+    assert files[0].closed
+    monkeypatch.undo()
     with OtpStore(path) as store:
         assert store.consumed_offset == 10
         assert store.consume(4, "export") == pad[10:14]
