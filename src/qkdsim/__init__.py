@@ -20,7 +20,6 @@ from qkdsim.rate_model import RatePrediction, error_band, predict
 from qkdsim.sync import (
     AlignmentResult,
     GatedEvents,
-    SyncConfig,
     detect_start,
     lock_clock,
     sparse_align,

@@ -91,7 +91,6 @@ def _make_config(args) -> RunConfig:
         duration_s=pick(args.duration, "duration", float, 1.0),
         repetitions=pick(args.reps, "reps", int, 1),
         master_seed=parse_seed(seed_text),
-        sweep_axis=getattr(args, "sweep", None),
         axis_values=_parse_values(args.values) if getattr(args, "values", None) else (),
         background_values=(
             _parse_values(backgrounds) if backgrounds else RunConfig.background_values
@@ -121,7 +120,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _make_config(args)
-    if cfg.sweep_axis == "background":
+    if args.sweep == "background":
         reports = sweep_background(cfg)
     else:
         reports = sweep_gate(cfg)

@@ -12,6 +12,9 @@ MEASURED_CHANNEL_BER = (0.0132, 0.0254, 0.0220, 0.0475)
 
 STATE_ANGLES_DEG = (0, 45, 90, 135)
 
+# Fixed delay that puts detectors 2 and 3 onto the recorder lines of 0 and 1.
+DEMUX_DELAY_S = 40e-9
+
 
 @dataclass(frozen=True)
 class SystemParams:
@@ -21,6 +24,9 @@ class SystemParams:
     all reported rates: it is the rate seen on each of the two multiplexed
     input lines, which is twice the rate of a single physical detector
     (see :mod:`qkdsim.runner`).
+
+    Construction checks every value, and the receiver geometry: gate <
+    ``DEMUX_DELAY_S`` < period / 2 keeps the direct and delayed windows apart.
     """
 
     repetition_rate_hz: float = 5e6
@@ -39,16 +45,18 @@ class SystemParams:
     def __post_init__(self):
         if not (math.isfinite(self.repetition_rate_hz) and self.repetition_rate_hz > 0):
             raise ValueError("repetition rate must be finite and positive")
-        if not self.mean_photon_number > 0:
-            raise ValueError("mean photon number must be positive")
+        if not DEMUX_DELAY_S < self.pulse_period_s / 2:
+            raise ValueError("demux delay must stay below half the pulse period")
+        if not (math.isfinite(self.mean_photon_number) and self.mean_photon_number > 0):
+            raise ValueError("mean photon number must be finite and positive")
         if not 0 < self.channel_transmission <= 1:
             raise ValueError("channel transmission must be in (0, 1]")
         if not 0 < self.detection_efficiency <= 1:
             raise ValueError("detection efficiency must be in (0, 1]")
-        if not self.gate_width_s > 0:
-            raise ValueError("gate width must be positive")
-        if self.gate_width_s > self.pulse_period_s:
-            raise ValueError("gate width cannot exceed the pulse period")
+        if not 0 < self.gate_width_s < DEMUX_DELAY_S:
+            raise ValueError("gate width must be positive and below the demux delay")
+        if not (math.isfinite(self.pulse_jitter_rms_s) and self.pulse_jitter_rms_s >= 0):
+            raise ValueError("pulse jitter must be finite and non-negative")
         if not (math.isfinite(self.background_rate_cps) and self.background_rate_cps >= 0):
             raise ValueError("background rate must be finite and non-negative")
         if len(self.base_ber_per_channel) != 4:
@@ -58,8 +66,12 @@ class SystemParams:
                 raise ValueError("each base BER must lie in [0, 0.5)")
         if not 0 <= self.injected_error_rate < 0.5:
             raise ValueError("injected error rate must lie in [0, 0.5)")
-        if self.safety_margin_bits < 0:
-            raise ValueError("safety margin cannot be negative")
+        if not (math.isfinite(self.safety_margin_bits) and self.safety_margin_bits >= 0):
+            raise ValueError("safety margin must be finite and non-negative")
+        if not (math.isfinite(self.dead_time_s) and self.dead_time_s >= 0):
+            raise ValueError("dead time must be finite and non-negative")
+        if not (math.isfinite(self.clock_skew_ppm) and self.clock_skew_ppm > -1e6):
+            raise ValueError("clock skew must be finite and above -1e6 ppm")
 
     @property
     def pulse_period_s(self) -> float:

@@ -17,25 +17,20 @@ relocates onto the orthogonal detector of the same basis with that
 destination channel's measured wrong-bit rate, which reproduces the
 per-channel error rates observed during key exchange.
 
-Ground-truth ``origin``/``pulse`` labels ride along for test oracles
-only; protocol code must consume nothing beyond tag times and line
-labels.
+Ground-truth ``pulse`` labels (the emitting pulse, -1 for background)
+ride along for test oracles only; protocol code must consume nothing
+beyond tag times and line labels.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from qkdsim.params import SystemParams
+from qkdsim.params import DEMUX_DELAY_S, SystemParams
 from qkdsim.seeds import np_rng
-
-ORIGIN_SIGNAL = 0
-ORIGIN_BACKGROUND = 1
 
 # Same-line tags closer than this are unresolvable even with zero dead time.
 MERGE_RESOLUTION_S = 1e-12
-# Fixed delay that puts detectors 2 and 3 onto the recorder lines of 0 and 1.
-DEMUX_DELAY_S = 40e-9
 
 
 def state_bits(states: np.ndarray) -> np.ndarray:
@@ -64,33 +59,24 @@ class AliceRecord:
 
 @dataclass
 class DetectionEvents:
-    """Detector click list with ground-truth labels for oracles."""
+    """Detector clicks, in no particular time order, with oracle labels."""
 
     times_s: np.ndarray
     detectors: np.ndarray  # uint8 in 0..3
-    origins: np.ndarray  # ORIGIN_SIGNAL / ORIGIN_BACKGROUND
     pulses: np.ndarray  # emitting pulse index, -1 for background
 
     @property
     def n_events(self) -> int:
         return int(self.times_s.size)
 
-    def sorted_by_time(self) -> "DetectionEvents":
-        order = np.argsort(self.times_s, kind="stable")
-        return DetectionEvents(
-            self.times_s[order],
-            self.detectors[order],
-            self.origins[order],
-            self.pulses[order],
-        )
-
 
 @dataclass
 class TagStream:
     """Two-line time-tag stream, the wire between the detectors and software.
 
-    ``truth_origins``/``truth_pulses`` are oracle-only side tables; they are
-    never serialized and protocol code must not read them.
+    ``truth_pulses`` (the emitting pulse, -1 for background) is an
+    oracle-only side table; it is never serialized and protocol code must
+    not read it.
     """
 
     times_s: np.ndarray
@@ -98,7 +84,6 @@ class TagStream:
     clock_skew_ppm: float
     duration_s: float
     dropped_collisions: int = 0
-    truth_origins: np.ndarray | None = None
     truth_pulses: np.ndarray | None = None
 
     @property
@@ -210,13 +195,11 @@ def simulate_detections(
         + rng.normal(0.0, params.pulse_jitter_rms_s, k)
     )
 
-    events = DetectionEvents(
+    return DetectionEvents(
         times_s=times[registers],
         detectors=detectors[registers],
-        origins=np.full(int(registers.sum()), ORIGIN_SIGNAL, dtype=np.uint8),
         pulses=pulse_idx[registers],
     )
-    return events.sorted_by_time()
 
 
 def add_background(
@@ -247,7 +230,7 @@ def add_background_per_detector(
     """Append per-detector Poisson background at the given physical rate."""
     if rate_per_detector_cps < 0:
         raise ValueError("background rate cannot be negative")
-    if events.n_events and events.times_s[-1] > duration_s + 1e-9:
+    if events.n_events and events.times_s.max() > duration_s + 1e-9:
         raise ValueError("duration does not cover the existing event span")
     if rate_per_detector_cps == 0:
         return events
@@ -258,15 +241,11 @@ def add_background_per_detector(
     times = rng.random(total) * duration_s
     detectors = np.repeat(np.arange(4, dtype=np.uint8), counts)
 
-    merged = DetectionEvents(
+    return DetectionEvents(
         times_s=np.concatenate([events.times_s, times]),
         detectors=np.concatenate([events.detectors, detectors]),
-        origins=np.concatenate(
-            [events.origins, np.full(total, ORIGIN_BACKGROUND, dtype=np.uint8)]
-        ),
         pulses=np.concatenate([events.pulses, np.full(total, -1, dtype=np.int64)]),
     )
-    return merged.sorted_by_time()
 
 
 def _keep_after_dead_time(times: np.ndarray, resolution: float) -> np.ndarray:
@@ -288,34 +267,26 @@ def _keep_after_dead_time(times: np.ndarray, resolution: float) -> np.ndarray:
 
 def multiplex_two_channel(
     events: DetectionEvents,
-    delay_s: float = DEMUX_DELAY_S,
     clock_skew_ppm: float = 0.0,
     dead_time_s: float = 0.0,
     duration_s: float | None = None,
-    pulse_period_s: float = 200e-9,
 ) -> TagStream:
     """Combine four detectors onto two recorder lines with a fixed delay.
 
-    Detectors 2 and 3 are delayed by ``delay_s`` and land on lines 0 and 1
-    respectively, so each line carries two phase-separated channels (and
-    twice the background). The receiver clock skew is applied here as a
-    linear dilation of all tag times. Same-line tags inside the dead-time
+    Detectors 2 and 3 are delayed by ``DEMUX_DELAY_S`` and land on lines 0
+    and 1 respectively, so each line carries two phase-separated channels
+    (and twice the background). The receiver clock skew is applied here as
+    a linear dilation of all tag times. The tags come out in time order
+    whatever the order of ``events``. Same-line tags inside the dead-time
     resolution collapse onto the earlier tag and are counted as dropped.
     """
-    if not delay_s < pulse_period_s / 2:
-        raise ValueError("demux delay must stay below half the pulse period")
-
-    times = events.times_s.astype(np.float64).copy()
-    delayed = events.detectors >= 2
-    times[delayed] += delay_s
+    times = events.times_s.astype(np.float64)
+    times[events.detectors >= 2] += DEMUX_DELAY_S
     times *= 1.0 + clock_skew_ppm * 1e-6
-    lines = (events.detectors & 1).astype(np.uint8)
 
     order = np.argsort(times, kind="stable")
     times = times[order]
-    lines = lines[order]
-    origins = events.origins[order]
-    pulses = events.pulses[order]
+    lines = (events.detectors[order] & 1).astype(np.uint8)
 
     resolution = max(dead_time_s, MERGE_RESOLUTION_S)
     keep = np.ones(times.size, dtype=bool)
@@ -324,6 +295,8 @@ def multiplex_two_channel(
         keep[on_line] = _keep_after_dead_time(times[on_line], resolution)
     dropped = int(times.size - keep.sum())
 
+    # indexed before the kept copies below: measured to lower a bright run's peak RSS
+    pulses = events.pulses[order[keep]]
     if duration_s is None:
         duration_s = float(times[-1]) if times.size else 0.0
 
@@ -333,6 +306,5 @@ def multiplex_two_channel(
         clock_skew_ppm=clock_skew_ppm,
         duration_s=duration_s,
         dropped_collisions=dropped,
-        truth_origins=origins[keep],
-        truth_pulses=pulses[keep],
+        truth_pulses=pulses,
     )

@@ -51,7 +51,7 @@ from qkdsim.sifting import (
     log_pa_seed_reference,
     sift,
 )
-from qkdsim.sync import SyncConfig, detect_start, lock_clock, sparse_align
+from qkdsim.sync import detect_start, lock_clock, sparse_align
 
 AUTH_BYTES_PER_SESSION = 32
 SEED_BYTES_PER_PURPOSE = 32
@@ -115,13 +115,12 @@ REPORT_COLUMNS = [f.name for f in dataclasses.fields(RunReport)]
 
 @dataclass
 class RunConfig:
-    """Sweep description: parameter overrides plus axis and bookkeeping."""
+    """Sweep description: parameter overrides, axis values and bookkeeping."""
 
     params: SystemParams = field(default_factory=SystemParams)
     duration_s: float = 1.0
     repetitions: int = 1
     master_seed: bytes = bytes(32)
-    sweep_axis: str | None = None  # "background" | "gate"; only the CLI reads it
     axis_values: tuple = ()
     background_values: tuple = (0.0, 10000.0, 20000.0, 30000.0, 40000.0)
     out_path: str | None = None
@@ -134,7 +133,6 @@ class RunConfig:
         for v in (*self.axis_values, *self.background_values):
             if not np.isfinite(v) or v < 0:
                 raise ValueError("sweep values must be finite and non-negative")
-        _sync_config(self.params)
 
 
 def _pulse_count(params: SystemParams, duration_s: float) -> int:
@@ -144,12 +142,6 @@ def _pulse_count(params: SystemParams, duration_s: float) -> int:
     if n < 1:
         raise ValueError(f"duration must be finite and span at least one pulse, got {duration_s}")
     return n
-
-
-def _sync_config(params: SystemParams) -> SyncConfig:
-    """The receiver settings of a run; raises ValueError for a gate or a
-    pulse period they cannot use."""
-    return SyncConfig(period_s=params.pulse_period_s, gate_width_s=params.gate_width_s)
 
 
 def _base_report(params: SystemParams, duration_s, label, master_seed, rep):
@@ -197,12 +189,11 @@ def run_once(
     Protocol-stage failures (no start jump, lost lock, ambiguous
     alignment, too little data, error rate above threshold, decode
     failure, depleted pad) come back as a report with
-    ``failure_stage``/``failure_kind`` set. A duration spanning no pulse,
-    a gate at or above the demux delay, or a pulse period at or below
-    twice that delay raises ValueError first.
+    ``failure_stage``/``failure_kind`` set. A duration spanning no pulse
+    raises ValueError first; ``SystemParams`` has already rejected a gate
+    or a pulse period the receiver cannot use.
     """
     n_pulses = _pulse_count(params, duration_s)
-    sync_cfg = _sync_config(params)
     report = _base_report(params, duration_s, label, master_seed, rep)
 
     def seed(stage):
@@ -232,14 +223,13 @@ def run_once(
             clock_skew_ppm=params.clock_skew_ppm,
             dead_time_s=params.dead_time_s,
             duration_s=total_duration,
-            pulse_period_s=params.pulse_period_s,
         )
 
         stage = "detect_start"
-        start = detect_start(stream, sync_cfg)
+        start = detect_start(stream)
 
         stage = "lock_clock"
-        gated = lock_clock(stream, start, sync_cfg)
+        gated = lock_clock(stream, start, params)
         if phase_hist_path:
             gated.write_phase_histogram(phase_hist_path)
 
@@ -363,7 +353,7 @@ def sweep_gate(cfg: RunConfig):
     """
     gates_ns = cfg.axis_values or (3.0, 5.0, 7.0)
     for gate_ns in gates_ns:
-        _sync_config(replace(cfg.params, gate_width_s=float(gate_ns) * 1e-9))
+        replace(cfg.params, gate_width_s=float(gate_ns) * 1e-9)  # checks the gate
     reports = []
     with open_outputs(cfg) as (otp, emit):
         for b in cfg.background_values:

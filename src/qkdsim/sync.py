@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from qkdsim.errors import AmbiguousAlignment, InsufficientData, LockLost, NoJumpFound
-from qkdsim.photonics import DEMUX_DELAY_S, AliceRecord, TagStream
+from qkdsim.params import DEMUX_DELAY_S, SystemParams
+from qkdsim.photonics import AliceRecord, TagStream
 
 _MIN_PEAK_TAGS = 20  # in-window tags before a bootstrap peak is trusted
 
@@ -38,20 +39,6 @@ MIN_PEAK_RATIO = 3.0  # peak/uniform score below which lock is lost
 MIN_TAGS_PER_INTERVAL = 30
 MIN_ALIGNMENT_SUBSET = 200
 ALIGNMENT_MARGIN = 0.1  # best score must beat the runner-up by this much
-
-
-@dataclass(frozen=True)
-class SyncConfig:
-    """The receiver settings that vary between runs."""
-
-    period_s: float = 200e-9
-    gate_width_s: float = 5e-9
-
-    def __post_init__(self):
-        if not self.gate_width_s < DEMUX_DELAY_S:
-            raise ValueError("gate width must stay below the demux delay")
-        if not DEMUX_DELAY_S < self.period_s / 2:
-            raise ValueError("demux delay must stay below half the pulse period")
 
 
 @dataclass
@@ -121,14 +108,14 @@ def _refine_onset(times: np.ndarray, lo: int, hi: int) -> float:
     return float(seg[int(j[np.argmax(log_lik)])])
 
 
-def detect_start(stream: TagStream, cfg: SyncConfig) -> float:
+def detect_start(stream: TagStream) -> float:
     """Time at which the transmission begins, from the tag-rate jump.
 
     The trailing background rate is the median of all window rates seen
     so far (seeded with the empty lead-in before the first tag); the
     first window exceeding ``START_DETECT_RATIO`` times that estimate is
     refined down to the steepest local rate jump. Start detection needs
-    neither the period nor the gate, so nothing is read from ``cfg``.
+    neither the period nor the gate.
     """
     times = stream.times_s
     width = START_DETECT_WINDOW
@@ -250,13 +237,14 @@ def _bootstrap_window(t, period, delay, gate):
     raise LockLost("no dominant phase peak within a drift interval of the start")
 
 
-def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvents:
+def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> GatedEvents:
     """Lock to the pulse grid from ``start_s`` onward and gate the stream.
 
-    ``stream.times_s`` must be ascending, as ``multiplex_two_channel``
-    and ``TagStream.from_text`` produce it.
+    Uses the pulse period and gate of ``params``. ``stream.times_s`` must
+    be ascending, as ``multiplex_two_channel`` and ``TagStream.from_text``
+    produce it.
     """
-    period, gate, delay = cfg.period_s, cfg.gate_width_s, DEMUX_DELAY_S
+    period, gate, delay = params.pulse_period_s, params.gate_width_s, DEMUX_DELAY_S
     picked = np.flatnonzero(stream.times_s >= start_s)
     if picked.size < MIN_TAGS_PER_INTERVAL:
         raise LockLost("too few tags after the detected start")
@@ -268,8 +256,8 @@ def lock_clock(stream: TagStream, start_s: float, cfg: SyncConfig) -> GatedEvent
     if lock_at > 0:
         # tags before the locked window predate the transmission; their
         # slots would map below the transmitter's record anyway
-        keep = t >= lock_at
-        picked, t, lines = picked[keep], t[keep], lines[keep]
+        first = int(np.searchsorted(t, lock_at))
+        picked, t, lines = picked[first:], t[first:], lines[first:]
 
     # Pin the skew on geometrically longer baselines so the drift over one
     # tracking interval stays inside a fraction of the gate.
@@ -432,7 +420,7 @@ def sparse_align(
     subset_bases: np.ndarray,
     subset_bits: np.ndarray,
     alice: AliceRecord,
-    search_range: int = 100_000,
+    search_range: int,
 ) -> AlignmentResult:
     """Find the slot offset mapping Bob's grid onto Alice's pulse indices.
 

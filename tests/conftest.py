@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qkdsim.photonics import ORIGIN_SIGNAL, DetectionEvents
+from qkdsim.photonics import DetectionEvents
 from qkdsim.seeds import np_rng
 
 
@@ -21,9 +21,7 @@ def reference_simulate_detections(record, params, seed):
     pulse_idx = np.repeat(np.arange(n, dtype=np.int64), survivors)
     k = pulse_idx.size
     if k == 0:
-        return DetectionEvents(
-            np.empty(0), np.empty(0, np.uint8), np.empty(0, np.uint8), np.empty(0, np.int64)
-        )
+        return DetectionEvents(np.empty(0), np.empty(0, np.uint8), np.empty(0, np.int64))
     states = record.states[pulse_idx]
     port = rng.integers(0, 4, size=k, dtype=np.uint8)
     matched = port == states
@@ -44,9 +42,8 @@ def reference_simulate_detections(record, params, seed):
     return DetectionEvents(
         times_s=times[registers],
         detectors=detectors[registers],
-        origins=np.full(int(registers.sum()), ORIGIN_SIGNAL, dtype=np.uint8),
         pulses=pulse_idx[registers],
-    ).sorted_by_time()
+    )
 
 
 @pytest.fixture

@@ -12,8 +12,6 @@ from qkdsim.errors import DecodeFailure, StorageFailure
 from qkdsim.otp_store import OtpStore
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
-    ORIGIN_BACKGROUND,
-    ORIGIN_SIGNAL,
     add_background,
     generate_alice_record,
     multiplex_two_channel,
@@ -30,7 +28,7 @@ from qkdsim.reconcile import (
 from qkdsim.runner import RunConfig, run_once, sweep_background, sweep_gate
 from qkdsim.seeds import derive_seed, parse_seed
 from qkdsim.privacy import poisson_multi_prob, secure_fraction
-from qkdsim.sync import SyncConfig, detect_start, lock_clock
+from qkdsim.sync import detect_start, lock_clock
 
 MASTER = parse_seed("acce97a4ce")
 
@@ -160,15 +158,13 @@ def test_criterion_6_synchronization_quality():
                                 start_time_s=0.05)
     events = simulate_detections(rec, params, derive_seed(MASTER, "sync-d"))
     events = add_background(events, params, total, derive_seed(MASTER, "sync-b"))
-    stream = multiplex_two_channel(events, clock_skew_ppm=params.clock_skew_ppm,
-                                   duration_s=total, pulse_period_s=params.pulse_period_s)
-    cfg = SyncConfig()
-    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    stream = multiplex_two_channel(events, clock_skew_ppm=params.clock_skew_ppm, duration_s=total)
+    gated = lock_clock(stream, detect_start(stream), params)
 
     # ground truth: undo the clock dilation, subtract the emitting pulse's
     # grid time; direct tags sit near 0, delayed (detector 2/3) near 40 ns
     dilate = 1 + params.clock_skew_ppm * 1e-6
-    is_sig = stream.truth_origins == ORIGIN_SIGNAL
+    is_sig = stream.truth_pulses >= 0
     resid_direct = stream.times_s / dilate - (0.05 + stream.truth_pulses * params.pulse_period_s)
     resid_delayed = resid_direct - 40e-9
     half = params.gate_width_s / 2
@@ -189,8 +185,8 @@ def test_criterion_6_synchronization_quality():
     # background retention over the span the lock actually processed
     t_lock = stream.times_s[gated.tag_indices].min()
     processed = stream.times_s >= t_lock
-    n_bg = int((processed & (stream.truth_origins == ORIGIN_BACKGROUND)).sum())
-    kept_bg = int((stream.truth_origins[gated.tag_indices] == ORIGIN_BACKGROUND).sum())
+    n_bg = int((processed & ~is_sig).sum())
+    kept_bg = int((~is_sig[gated.tag_indices]).sum())
     expected = n_bg * 2 * params.gate_width_s / params.pulse_period_s  # two windows/period
     bg_ok = abs(kept_bg - expected) <= 3 * np.sqrt(expected)
 
@@ -208,7 +204,6 @@ def test_criterion_7_gate_width_tradeoff():
     cfg = RunConfig(
         duration_s=0.4,
         master_seed=derive_seed(MASTER, "gates"),
-        sweep_axis="gate",
         axis_values=(3.0, 5.0, 7.0),
         background_values=(0.0, 10000.0, 20000.0, 30000.0, 40000.0),
     )
@@ -236,7 +231,6 @@ def test_criterion_8_determinism_and_two_party_symmetry(tmp_path):
         cfg = RunConfig(
             duration_s=0.25,
             master_seed=derive_seed(MASTER, "det"),
-            sweep_axis="background",
             axis_values=(0.0, 20000.0),
             out_path=str(tmp_path / name),
         )

@@ -5,8 +5,7 @@ import pytest
 
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
-    ORIGIN_BACKGROUND,
-    ORIGIN_SIGNAL,
+    DetectionEvents,
     TagStream,
     add_background,
     add_background_per_detector,
@@ -87,7 +86,7 @@ def _state_detector_counts(events, record):
 
 
 def _assert_same_dtypes(got, want):
-    for name in ("times_s", "detectors", "origins", "pulses"):
+    for name in ("times_s", "detectors", "pulses"):
         assert getattr(got, name).dtype == getattr(want, name).dtype, name
 
 
@@ -117,7 +116,6 @@ def test_simulate_detections_matches_single_draw_reference(
     want = reference_sampler(rec, params, seed("refo" + label))
     assert got.n_events > 0
     _assert_same_dtypes(got, want)
-    assert np.all(np.diff(got.times_s) >= 0)
 
     # detections per pulse: two samples of n pulses over the same four bins
     stat, cells = _paired_chi2(_detections_per_pulse(got, n_pulses),
@@ -224,16 +222,13 @@ def test_multiplex_empty():
 
 
 def test_multiplex_single_tag_delay_and_relabel():
-    from qkdsim.photonics import DetectionEvents
-
     tau = 1e-3
     events = DetectionEvents(
         times_s=np.array([tau]),
         detectors=np.array([2], dtype=np.uint8),
-        origins=np.array([ORIGIN_SIGNAL], dtype=np.uint8),
         pulses=np.array([0], dtype=np.int64),
     )
-    stream = multiplex_two_channel(events, delay_s=40e-9)
+    stream = multiplex_two_channel(events)
     assert stream.n_tags == 1
     assert stream.lines[0] == 0
     assert stream.times_s[0] == pytest.approx(tau + 40e-9, abs=1e-15)
@@ -254,18 +249,40 @@ def test_multiplex_doubles_per_line_background():
 
 
 def test_multiplex_collision_dropped():
-    from qkdsim.photonics import DetectionEvents
-
     events = DetectionEvents(
         times_s=np.array([1e-3, 1e-3 + 5e-9, 1e-3 + 1e-6]),
         detectors=np.array([0, 2, 0], dtype=np.uint8),  # det 2 lands on line 0 at +40ns
-        origins=np.zeros(3, dtype=np.uint8),
         pulses=np.arange(3, dtype=np.int64),
     )
     stream = multiplex_two_channel(events, dead_time_s=100e-9)
     # det-2 tag arrives 45 ns after the first line-0 tag: inside dead time
     assert stream.dropped_collisions == 1
     assert stream.n_tags == 2
+
+
+def test_multiplex_ignores_the_order_of_its_events():
+    # only multiplex_two_channel puts events in time order, so any order in
+    # must give the same stream, dead-time collisions included
+    params = SystemParams(background_rate_cps=10000.0)
+    rec = generate_alice_record(params, 100_000, seed("perm"), start_time_s=1e-3)
+    ev = simulate_detections(rec, params, seed("perm-d"))
+    ev = add_background(ev, params, 0.021, seed("perm-b"))
+    # a detector-2 click 45 ns after a detector-0 click shares line 0 inside
+    # the 100 ns dead time
+    ev = DetectionEvents(
+        times_s=np.concatenate([ev.times_s, [5e-4, 5e-4 + 5e-9]]),
+        detectors=np.concatenate([ev.detectors, np.array([0, 2], dtype=np.uint8)]),
+        pulses=np.concatenate([ev.pulses, [-1, -1]]),
+    )
+    order = np.random.default_rng(8).permutation(ev.n_events)
+    shuffled = DetectionEvents(ev.times_s[order], ev.detectors[order], ev.pulses[order])
+    want = multiplex_two_channel(ev, clock_skew_ppm=10.0, dead_time_s=100e-9)
+    got = multiplex_two_channel(shuffled, clock_skew_ppm=10.0, dead_time_s=100e-9)
+    assert want.dropped_collisions >= 1
+    assert got.dropped_collisions == want.dropped_collisions
+    assert np.all(np.diff(got.times_s) >= 0)
+    for name in ("times_s", "lines", "truth_pulses"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_multiplex_deterministic():
@@ -302,6 +319,8 @@ def test_ground_truth_labels_partition_stream():
     ev = simulate_detections(rec, params, seed("truth2"))
     n_signal = ev.n_events
     merged = add_background(ev, params, 0.041, seed("truth3"))
-    assert (merged.origins == ORIGIN_SIGNAL).sum() == n_signal
-    assert (merged.origins == ORIGIN_BACKGROUND).sum() == merged.n_events - n_signal
-    assert np.all(merged.pulses[merged.origins == ORIGIN_BACKGROUND] == -1)
+    # a pulse index marks signal and -1 marks background
+    assert (merged.pulses >= 0).sum() == n_signal
+    assert (merged.pulses == -1).sum() == merged.n_events - n_signal
+    stream = multiplex_two_channel(merged, duration_s=0.041)
+    assert (stream.truth_pulses >= 0).sum() == n_signal

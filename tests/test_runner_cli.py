@@ -150,7 +150,6 @@ def test_sweep_background_csv(tmp_path):
     cfg = RunConfig(
         duration_s=0.2,
         master_seed=SEED,
-        sweep_axis="background",
         axis_values=(0.0, 20000.0),
         out_path=str(out),
     )
@@ -171,7 +170,6 @@ def test_sweep_csv_byte_identical_across_runs(tmp_path):
         cfg = RunConfig(
             duration_s=0.2,
             master_seed=SEED,
-            sweep_axis="background",
             axis_values=(0.0, 15000.0),
             out_path=str(tmp_path / name),
         )
@@ -185,7 +183,6 @@ def test_sweep_gate_best_gate_column(tmp_path):
     cfg = RunConfig(
         duration_s=0.2,
         master_seed=SEED,
-        sweep_axis="gate",
         axis_values=(3.0, 7.0),
         background_values=(30000.0,),
         out_path=str(tmp_path / "gate.csv"),
@@ -216,7 +213,6 @@ def test_secret_rate_falls_with_background_and_hits_zero():
         duration_s=0.4,
         repetitions=2,
         master_seed=SEED,
-        sweep_axis="background",
         axis_values=(0.0, 8000.0, 16000.0, 24000.0, 30000.0, 34000.0),
     )
     reports = sweep_background(cfg)
@@ -318,7 +314,7 @@ def test_cli_rejects_gate_at_demux_delay_before_writing(tmp_path, argv):
 
 
 def test_sweep_gate_rejects_an_unusable_gate_before_any_output(tmp_path):
-    # without sweep_axis="gate" the config cannot know its axis values are gates
+    # a RunConfig does not know its axis values are gates; sweep_gate checks them
     cfg = RunConfig(
         duration_s=0.2,
         master_seed=SEED,
@@ -418,6 +414,60 @@ def test_params_reject_negative_safety_margin():
     assert SystemParams(safety_margin_bits=0).safety_margin_bits == 0
     with pytest.raises(ValueError, match="safety margin"):
         SystemParams(safety_margin_bits=-5)
+
+
+def test_params_check_the_demux_geometry_on_both_sides_of_each_limit():
+    # gate < 40 ns demux delay < period / 2
+    assert SystemParams(gate_width_s=39.9e-9).gate_width_s == 39.9e-9
+    with pytest.raises(ValueError, match="below the demux delay"):
+        SystemParams(gate_width_s=40e-9)
+    assert SystemParams(repetition_rate_hz=1 / 80.1e-9).pulse_period_s > 80e-9
+    with pytest.raises(ValueError, match="half the pulse period"):
+        SystemParams(repetition_rate_hz=12.5e6)  # an 80 ns period
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("pulse_jitter_rms_s", -1e-9),
+        ("pulse_jitter_rms_s", float("inf")),
+        ("mean_photon_number", float("inf")),
+        ("safety_margin_bits", float("nan")),
+        ("safety_margin_bits", float("inf")),
+        ("clock_skew_ppm", float("nan")),
+        ("clock_skew_ppm", float("inf")),
+        ("clock_skew_ppm", -1e6),
+        ("dead_time_s", -1.0),
+        ("dead_time_s", float("nan")),
+    ],
+)
+def test_params_reject_values_a_run_cannot_use(field, value):
+    with pytest.raises(ValueError, match="must be finite"):
+        SystemParams(**{field: value})
+
+
+def test_params_accept_the_edges_of_the_valid_range():
+    params = SystemParams(
+        pulse_jitter_rms_s=0.0, safety_margin_bits=0, clock_skew_ppm=-999_999.0, dead_time_s=0.0
+    )
+    assert params.clock_skew_ppm == -999_999.0
+
+
+@pytest.mark.parametrize("line", ["pulse_jitter_rms_s = -1e-9", "clock_skew_ppm = nan"])
+@pytest.mark.parametrize("command", [["run"], ["sweep", "--sweep", "background", "--values", "0"]])
+def test_cli_rejects_an_unusable_param_before_writing_or_spending_pad(tmp_path, command, line):
+    pad = tmp_path / "pad.otp"
+    assert main(["otp", "init", "--otp", str(pad), "--size", "512"]) == 0
+    cfg_file = tmp_path / "bad.cfg"
+    cfg_file.write_text(f"duration = 0.3\n{line}\n")
+    out = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="must be finite"):
+        main(command + ["--config", str(cfg_file), "--otp", str(pad), "--out", str(out)])
+    assert not out.exists()
+    with OtpStore(pad) as store:
+        assert store.consumed_offset == 0
+        assert store.remaining == 512
+        assert len(store.ledger) == 0
 
 
 def test_params_derive_pulse_period_from_rate():

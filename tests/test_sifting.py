@@ -29,7 +29,7 @@ from qkdsim.sifting import (
     log_pa_seed_reference,
     sift,
 )
-from qkdsim.sync import AlignmentResult, GatedEvents, SyncConfig, detect_start, lock_clock
+from qkdsim.sync import AlignmentResult, GatedEvents, detect_start, lock_clock
 
 MASTER = derive_seed(bytes(32), "sifting-tests")
 
@@ -71,8 +71,7 @@ def gated_run(label, background_cps=0.0, n_pulses=1_500_000, injected=0.0):
     ev = simulate_detections(rec, params, seed(label + "d"))
     ev = add_background(ev, params, total, seed(label + "b"))
     stream = multiplex_two_channel(ev, clock_skew_ppm=10.0, duration_s=total)
-    cfg = SyncConfig()
-    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    gated = lock_clock(stream, detect_start(stream), params)
     truth = stream.truth_pulses[gated.tag_indices]
     sig = truth >= 0
     offsets = gated.slots[sig] - truth[sig]
@@ -128,8 +127,7 @@ def test_sift_zero_error_without_noise_sources():
     rec = generate_alice_record(params, 1_000_000, seed("cleanr"), start_time_s=0.05)
     ev = simulate_detections(rec, params, seed("cleand"))
     stream = multiplex_two_channel(ev, duration_s=0.25)
-    cfg = SyncConfig()
-    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    gated = lock_clock(stream, detect_start(stream), params)
     truth = stream.truth_pulses[gated.tag_indices]
     offs = gated.slots - truth
     offset = -int(np.bincount((offs - offs.min())).argmax() + offs.min())
@@ -302,9 +300,12 @@ def test_channel_frames_match_known_answers():
     params = SystemParams()
     rec = generate_alice_record(params, 200_000, seed("kat-r"))
     ev = simulate_detections(rec, params, seed("kat-d"))
-    gated = manual_gated(ev.pulses, ev.detectors)
+    # the detections in time order, as the pinned frames were recorded
+    order = np.argsort(ev.times_s, kind="stable")
+    pulses, detectors = ev.pulses[order], ev.detectors[order]
+    gated = manual_gated(pulses, detectors)
     channel = FirstFrames()
-    alice_key, bob_key = sift(gated, manual_alignment(0, ev.pulses[:50]), rec, channel)
+    alice_key, bob_key = sift(gated, manual_alignment(0, pulses[:50]), rec, channel)
     error, n_est, alice_key, bob_key = estimate_error(
         alice_key, bob_key, seed("kat-e"), channel
     )

@@ -9,8 +9,6 @@ import pytest
 from qkdsim.errors import AmbiguousAlignment, LockLost, NoJumpFound
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
-    ORIGIN_BACKGROUND,
-    ORIGIN_SIGNAL,
     TagStream,
     add_background,
     add_background_per_detector,
@@ -23,7 +21,6 @@ from qkdsim.photonics import (
 from qkdsim.seeds import derive_seed
 from qkdsim.sync import (
     _MIN_MATCHED_FOR_SCORE,
-    SyncConfig,
     _gate_assign,
     _offset_scores,
     detect_start,
@@ -81,26 +78,26 @@ def test_detect_start_finds_rate_jump():
         clock_skew_ppm=0.0,
         duration_s=1.5,
     )
-    onset = detect_start(stream, SyncConfig())
+    onset = detect_start(stream)
     assert 0.4 <= onset <= 0.6
 
 
 def test_detect_start_pure_background_raises():
     stream = background_stream(4000.0, 2.0, "pure")
     with pytest.raises(NoJumpFound):
-        detect_start(stream, SyncConfig())
+        detect_start(stream)
 
 
 def test_detect_start_zero_background_returns_first_tag():
     stream, _ = signal_stream("zb", n_pulses=500_000, lead_in=0.3)
-    onset = detect_start(stream, SyncConfig())
+    onset = detect_start(stream)
     assert onset == pytest.approx(stream.times_s[0], abs=1e-3)
 
 
 def test_detect_start_at_bright_background():
     # per-channel 26000 cps: the jump is only ~1.3x, still detected
     stream, _ = signal_stream("bright", background_cps=26000.0, skew_ppm=10.0)
-    onset = detect_start(stream, SyncConfig())
+    onset = detect_start(stream)
     assert abs(onset - 0.05) < 0.02
 
 
@@ -111,8 +108,7 @@ def test_lock_clock_ideal_stream_keeps_every_tag():
     # zero skew, zero background, negligible jitter: slots equal pulse indices
     params = SystemParams(pulse_jitter_rms_s=1e-13, clock_skew_ppm=0.0)
     stream, rec = signal_stream("ideal", n_pulses=400_000, params=params)
-    cfg = SyncConfig()
-    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    gated = lock_clock(stream, detect_start(stream), params)
     # only multi-photon double fires in one (slot, line) window may drop
     assert gated.n_events >= stream.n_tags - 5
     # slots track pulse indices exactly, up to the start-detection anchor
@@ -131,16 +127,14 @@ def test_lock_clock_retention_under_skew():
     kept = {}
     for ppm in (0.0, 10.0):
         stream = multiplex_two_channel(events, clock_skew_ppm=ppm, duration_s=total)
-        cfg = SyncConfig()
-        gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+        gated = lock_clock(stream, detect_start(stream), params)
         kept[ppm] = gated.n_events / stream.n_tags
     assert kept[10.0] >= 0.99 * kept[0.0]
 
 
 def test_lock_clock_slot_consistency_under_skew():
     stream, rec = signal_stream("slots", n_pulses=2_500_000, skew_ppm=10.0)
-    cfg = SyncConfig()
-    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    gated = lock_clock(stream, detect_start(stream), SystemParams())
     truth = stream.truth_pulses[gated.tag_indices]
     offsets = gated.slots - truth
     mode = np.bincount((offsets - offsets.min()).astype(np.int64)).argmax() + offsets.min()
@@ -154,21 +148,16 @@ def test_lock_clock_background_suppression_factor():
     # 5 ns gate on a 200 ns period: each of the two windows per line keeps
     # 1/40 of the background that reaches it
     stream, _ = signal_stream("sup", background_cps=20000.0, skew_ppm=10.0)
-    cfg = SyncConfig()
-    start = detect_start(stream, cfg)
-    gated = lock_clock(stream, start, cfg)
+    start = detect_start(stream)
+    gated = lock_clock(stream, start, SystemParams())
     in_span = stream.times_s >= start
-    n_bg = int((stream.truth_origins[in_span] == ORIGIN_BACKGROUND).sum())
-    kept_bg = int((stream.truth_origins[gated.tag_indices] == ORIGIN_BACKGROUND).sum())
+    n_bg = int((stream.truth_pulses[in_span] < 0).sum())
+    background = stream.truth_pulses[gated.tag_indices] < 0
+    kept_bg = int(background.sum())
     expected = n_bg * 2 * (5e-9 / 200e-9)
     assert abs(kept_bg - expected) < 3 * np.sqrt(expected)
     # split per window: the direct and delayed windows each catch ~1/40
-    kept_direct = int(
-        (
-            (stream.truth_origins[gated.tag_indices] == ORIGIN_BACKGROUND)
-            & (gated.detectors < 2)
-        ).sum()
-    )
+    kept_direct = int((background & (gated.detectors < 2)).sum())
     assert abs(kept_direct - expected / 2) < 4 * np.sqrt(expected / 2)
 
 
@@ -177,11 +166,10 @@ def test_lock_clock_monotone_in_gate_width():
     stream, _ = signal_stream("mono", params=params, skew_ppm=10.0)
     signal_kept, background_kept = [], []
     for gate_ns in (3.0, 5.0, 7.0):
-        cfg = SyncConfig(gate_width_s=gate_ns * 1e-9)
-        gated = lock_clock(stream, detect_start(stream, cfg), cfg)
-        origins = stream.truth_origins[gated.tag_indices]
-        signal_kept.append(int((origins == ORIGIN_SIGNAL).sum()))
-        background_kept.append(int((origins == ORIGIN_BACKGROUND).sum()))
+        gate = replace(params, gate_width_s=gate_ns * 1e-9)
+        pulses = stream.truth_pulses[lock_clock(stream, detect_start(stream), gate).tag_indices]
+        signal_kept.append(int((pulses >= 0).sum()))
+        background_kept.append(int((pulses < 0).sum()))
     assert signal_kept[0] <= signal_kept[1] <= signal_kept[2]
     assert background_kept[0] < background_kept[1] < background_kept[2]
 
@@ -205,19 +193,12 @@ def test_lock_clock_known_answer(reference_sampler, background_cps):
         f"ka{background_cps:g}", n_pulses=2_500_000, background_cps=background_cps, skew_ppm=10.0,
         sample=reference_sampler,
     )
-    cfg = SyncConfig()
-    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    gated = lock_clock(stream, detect_start(stream), SystemParams())
     digest = hashlib.sha256()
     for a in (gated.slots, gated.detectors, gated.tag_indices, gated.phase_histogram):
         digest.update(np.ascontiguousarray(a).tobytes())
     got = (gated.n_events, float(gated.recovered_period_s), digest.hexdigest())
     assert got == LOCK_KNOWN_ANSWERS[background_cps]
-
-
-def test_sync_config_rejects_a_period_too_short_for_the_demux_delay():
-    SyncConfig(period_s=80.1e-9)
-    with pytest.raises(ValueError, match="half the pulse period"):
-        SyncConfig(period_s=80e-9)
 
 
 def test_lock_clock_lost_when_signal_stops():
@@ -228,7 +209,7 @@ def test_lock_clock_lost_when_signal_stops():
     events = add_background(events, params, 0.5, seed("lostb"))
     stream = multiplex_two_channel(events, duration_s=0.5)
     with pytest.raises(LockLost):
-        lock_clock(stream, 0.0, SyncConfig())
+        lock_clock(stream, 0.0, params)
 
 
 def test_gate_assign_degenerate_full_period_keeps_everything():
@@ -240,8 +221,7 @@ def test_gate_assign_degenerate_full_period_keeps_everything():
 
 def test_phase_histogram_shows_two_peaks(tmp_path):
     stream, _ = signal_stream("hist", background_cps=5000.0, skew_ppm=10.0)
-    cfg = SyncConfig()
-    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    gated = lock_clock(stream, detect_start(stream), SystemParams())
     path = tmp_path / "phases.csv"
     gated.write_phase_histogram(path)
     rows = path.read_text().strip().splitlines()
@@ -300,7 +280,7 @@ def test_sparse_align_enforces_minimum_subset():
     rec = generate_alice_record(SystemParams(), 10_000, seed("al3"))
     with pytest.raises(ValueError):
         sparse_align(
-            np.arange(100), np.zeros(100, np.uint8), np.zeros(100, np.uint8), rec
+            np.arange(100), np.zeros(100, np.uint8), np.zeros(100, np.uint8), rec, 100_000
         )
 
 
@@ -336,8 +316,7 @@ def pipeline_subset(background_cps, label, duration_s=0.3, k=400):
         label, n_pulses=int(duration_s / params.pulse_period_s), params=params,
         skew_ppm=params.clock_skew_ppm,
     )
-    cfg = SyncConfig()
-    gated = lock_clock(stream, detect_start(stream, cfg), cfg)
+    gated = lock_clock(stream, detect_start(stream), params)
     chosen = np.random.default_rng(11).choice(gated.n_events, size=k, replace=False)
     dets = gated.detectors[chosen]
     return gated.slots[chosen], (dets & 1).astype(np.uint8), (dets >> 1).astype(np.uint8), rec
