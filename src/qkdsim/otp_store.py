@@ -84,6 +84,8 @@ class OtpStore:
         initial_pad: bytes = b"",
         ledger_capacity: int = DEFAULT_LEDGER_CAPACITY,
     ) -> "OtpStore":
+        if not (isinstance(ledger_capacity, int) and 1 <= ledger_capacity < 2**32):
+            raise ValueError(f"ledger capacity must be an integer in [1, 2**32): {ledger_capacity}")
         path = os.fspath(path)
         if os.path.exists(path):
             raise StorageFailure(f"refusing to overwrite existing store {path}")
@@ -119,6 +121,8 @@ class OtpStore:
             raise StorageFailure("not a pad store (bad magic or version)")
         if crc != zlib.crc32(raw[: struct.calcsize("<8sHHIIQQ")]):
             raise StorageFailure("store header failed its checksum")
+        if capacity == 0:
+            raise StorageFailure("store header has no ledger capacity")
         self._ledger_capacity = capacity
         self._ledger_count = count
         self._consumed = consumed

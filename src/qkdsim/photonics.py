@@ -49,8 +49,6 @@ class AliceRecord:
 
     states: np.ndarray  # uint8 in 0..3, one per pulse
     start_time_s: float
-    pulse_period_s: float
-    seed: bytes
 
     @property
     def n_pulses(self) -> int:
@@ -81,8 +79,6 @@ class TagStream:
 
     times_s: np.ndarray
     lines: np.ndarray  # uint8 in {0, 1}
-    clock_skew_ppm: float
-    duration_s: float
     dropped_collisions: int = 0
     truth_pulses: np.ndarray | None = None
 
@@ -107,7 +103,7 @@ class TagStream:
                 fh.write(f"{t}\t{line}\n")
 
     @classmethod
-    def from_text(cls, path, clock_skew_ppm: float = 0.0) -> "TagStream":
+    def from_text(cls, path) -> "TagStream":
         ps = []
         lines = []
         with open(path) as fh:
@@ -118,32 +114,15 @@ class TagStream:
                 ps.append(int(t))
                 lines.append(int(line))
         times = np.asarray(ps, dtype=np.int64) * 1e-12
-        duration = float(times[-1]) if len(ps) else 0.0
-        return cls(
-            times_s=times.astype(np.float64),
-            lines=np.asarray(lines, dtype=np.uint8),
-            clock_skew_ppm=clock_skew_ppm,
-            duration_s=duration,
-        )
+        return cls(times_s=times.astype(np.float64), lines=np.asarray(lines, dtype=np.uint8))
 
 
-def generate_alice_record(
-    params: SystemParams,
-    n_pulses: int,
-    seed: bytes,
-    start_time_s: float = 0.0,
-) -> AliceRecord:
+def generate_alice_record(n_pulses: int, seed: bytes, start_time_s: float = 0.0) -> AliceRecord:
     """Draw a uniformly random state per pulse, reproducible from the seed."""
     if n_pulses <= 0:
         raise ValueError("need at least one pulse")
-    rng = np_rng(seed)
-    states = rng.integers(0, 4, size=n_pulses, dtype=np.uint8)
-    return AliceRecord(
-        states=states,
-        start_time_s=start_time_s,
-        pulse_period_s=params.pulse_period_s,
-        seed=seed,
-    )
+    states = np_rng(seed).integers(0, 4, size=n_pulses, dtype=np.uint8)
+    return AliceRecord(states=states, start_time_s=start_time_s)
 
 
 def simulate_detections(
@@ -191,7 +170,7 @@ def simulate_detections(
 
     times = (
         record.start_time_s
-        + pulse_idx * record.pulse_period_s
+        + pulse_idx * params.pulse_period_s
         + rng.normal(0.0, params.pulse_jitter_rms_s, k)
     )
 
@@ -210,26 +189,12 @@ def add_background(
 ) -> DetectionEvents:
     """Merge in a homogeneous Poisson background on every detector.
 
-    The rate per physical detector is taken from
-    ``params.background_rate_cps / 2``: the configured figure is the
-    per-line rate after two detectors are multiplexed onto each input.
-    Use :func:`add_background_per_detector` to state the physical rate
-    directly.
+    The rate per physical detector is ``params.background_rate_cps / 2``:
+    the configured figure is the per-line rate after two detectors are
+    multiplexed onto each input, so a physical rate r is stated as
+    ``background_rate_cps = 2 * r`` (exact in floating point).
     """
-    return add_background_per_detector(
-        events, params.background_rate_cps / 2.0, duration_s, seed
-    )
-
-
-def add_background_per_detector(
-    events: DetectionEvents,
-    rate_per_detector_cps: float,
-    duration_s: float,
-    seed: bytes,
-) -> DetectionEvents:
-    """Append per-detector Poisson background at the given physical rate."""
-    if rate_per_detector_cps < 0:
-        raise ValueError("background rate cannot be negative")
+    rate_per_detector_cps = params.background_rate_cps / 2.0
     if events.n_events and events.times_s.max() > duration_s + 1e-9:
         raise ValueError("duration does not cover the existing event span")
     if rate_per_detector_cps == 0:
@@ -265,30 +230,26 @@ def _keep_after_dead_time(times: np.ndarray, resolution: float) -> np.ndarray:
     return keep
 
 
-def multiplex_two_channel(
-    events: DetectionEvents,
-    clock_skew_ppm: float = 0.0,
-    dead_time_s: float = 0.0,
-    duration_s: float | None = None,
-) -> TagStream:
+def multiplex_two_channel(events: DetectionEvents, params: SystemParams) -> TagStream:
     """Combine four detectors onto two recorder lines with a fixed delay.
 
     Detectors 2 and 3 are delayed by ``DEMUX_DELAY_S`` and land on lines 0
     and 1 respectively, so each line carries two phase-separated channels
-    (and twice the background). The receiver clock skew is applied here as
-    a linear dilation of all tag times. The tags come out in time order
-    whatever the order of ``events``. Same-line tags inside the dead-time
+    (and twice the background). The receiver clock skew
+    ``params.clock_skew_ppm`` is applied here as a linear dilation of all
+    tag times. The tags come out in time order whatever the order of
+    ``events``. Same-line tags inside the ``params.dead_time_s``
     resolution collapse onto the earlier tag and are counted as dropped.
     """
     times = events.times_s.astype(np.float64)
     times[events.detectors >= 2] += DEMUX_DELAY_S
-    times *= 1.0 + clock_skew_ppm * 1e-6
+    times *= 1.0 + params.clock_skew_ppm * 1e-6
 
     order = np.argsort(times, kind="stable")
     times = times[order]
     lines = (events.detectors[order] & 1).astype(np.uint8)
 
-    resolution = max(dead_time_s, MERGE_RESOLUTION_S)
+    resolution = max(params.dead_time_s, MERGE_RESOLUTION_S)
     keep = np.ones(times.size, dtype=bool)
     for line in (0, 1):
         on_line = np.flatnonzero(lines == line)
@@ -297,14 +258,10 @@ def multiplex_two_channel(
 
     # indexed before the kept copies below: measured to lower a bright run's peak RSS
     pulses = events.pulses[order[keep]]
-    if duration_s is None:
-        duration_s = float(times[-1]) if times.size else 0.0
 
     return TagStream(
         times_s=times[keep],
         lines=lines[keep],
-        clock_skew_ppm=clock_skew_ppm,
-        duration_s=duration_s,
         dropped_collisions=dropped,
         truth_pulses=pulses,
     )

@@ -215,15 +215,10 @@ def run_once(
 
         stage = "photonics"
         total_duration = LEAD_IN_S + n_pulses * params.pulse_period_s
-        record = generate_alice_record(params, n_pulses, seed("alice"), start_time_s=LEAD_IN_S)
+        record = generate_alice_record(n_pulses, seed("alice"), start_time_s=LEAD_IN_S)
         events = simulate_detections(record, params, seed("detect"))
         events = add_background(events, params, total_duration, seed("background"))
-        stream = multiplex_two_channel(
-            events,
-            clock_skew_ppm=params.clock_skew_ppm,
-            dead_time_s=params.dead_time_s,
-            duration_s=total_duration,
-        )
+        stream = multiplex_two_channel(events, params)
 
         stage = "detect_start"
         start = detect_start(stream)
@@ -331,10 +326,11 @@ def open_outputs(cfg: RunConfig):
 
 def sweep_background(cfg: RunConfig):
     """One run per (background value, repetition); emits CSV if configured."""
-    values = cfg.axis_values or (0.0, 5000.0, 10000.0, 15000.0, 20000.0, 26000.0)
+    if not cfg.axis_values:
+        raise ValueError("a sweep needs at least one axis value")
     reports = []
     with open_outputs(cfg) as (otp, emit):
-        for b in values:
+        for b in cfg.axis_values:
             for rep in range(cfg.repetitions):
                 params = replace(cfg.params, background_rate_cps=float(b))
                 label = f"B{b:g}/rep{rep}"
@@ -349,9 +345,12 @@ def sweep_gate(cfg: RunConfig):
 
     The ``best_gate_ns`` column carries, for every row of a background
     group, the gate whose mean secret rate won at that background. A gate
-    the receiver cannot use raises ValueError before any run or output.
+    the receiver cannot use, or an empty axis, raises ValueError before any
+    run or output.
     """
-    gates_ns = cfg.axis_values or (3.0, 5.0, 7.0)
+    gates_ns = cfg.axis_values
+    if not gates_ns:
+        raise ValueError("a sweep needs at least one axis value")
     for gate_ns in gates_ns:
         replace(cfg.params, gate_width_s=float(gate_ns) * 1e-9)  # checks the gate
     reports = []

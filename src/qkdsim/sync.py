@@ -114,8 +114,8 @@ def detect_start(stream: TagStream) -> float:
     The trailing background rate is the median of all window rates seen
     so far (seeded with the empty lead-in before the first tag); the
     first window exceeding ``START_DETECT_RATIO`` times that estimate is
-    refined down to the steepest local rate jump. Start detection needs
-    neither the period nor the gate.
+    refined by a two-segment Poisson changepoint MLE over the tags around
+    it; start detection needs neither the period nor the gate.
     """
     times = stream.times_s
     width = START_DETECT_WINDOW
@@ -157,7 +157,7 @@ def _rolling_window_sum(hist: np.ndarray, width_bins: int) -> np.ndarray:
     return (c[width_bins:] - c[:-width_bins])[: hist.size]
 
 
-def _peak_phase(times: np.ndarray, period: float, delay: float, gate: float):
+def _peak_phase(times: np.ndarray, period: float, gate: float):
     """Direct-channel peak phase of a tag batch.
 
     Scores every candidate phase by the tags inside a gate-wide window
@@ -173,13 +173,13 @@ def _peak_phase(times: np.ndarray, period: float, delay: float, gate: float):
     )
     wb = max(int(round(gate / binw)), 1)
     window = _rolling_window_sum(hist, wb)
-    shift = int(round(delay / binw)) % nbins
+    shift = int(round(DEMUX_DELAY_S / binw)) % nbins
     score = window + np.roll(window, -shift)
     b = int(np.argmax(score))
     coarse = (b + wb / 2.0) * binw
 
     d_direct = _circ_diff(phases, coarse, period)
-    d_delayed = _circ_diff(phases, (coarse + delay) % period, period)
+    d_delayed = _circ_diff(phases, (coarse + DEMUX_DELAY_S) % period, period)
     in_direct = np.abs(d_direct) <= gate / 2.0
     in_delayed = np.abs(d_delayed) <= gate / 2.0
     resid = np.concatenate([d_direct[in_direct], d_delayed[in_delayed]])
@@ -191,20 +191,20 @@ def _peak_phase(times: np.ndarray, period: float, delay: float, gate: float):
     return phase, resid.size / expected_uniform, resid.size
 
 
-def _gate_assign(times: np.ndarray, phase_track: float, period: float, delay: float, gate: float):
+def _gate_assign(times: np.ndarray, phase_track: float, period: float, gate: float):
     """Split tags into direct/delayed gate windows and assign pulse slots."""
     rel = times - phase_track
     ph = rel % period
     direct = np.minimum(ph, period - ph) <= gate / 2.0
-    ph_del = (rel - delay) % period
+    ph_del = (rel - DEMUX_DELAY_S) % period
     delayed = (np.minimum(ph_del, period - ph_del) <= gate / 2.0) & ~direct
     slots = np.where(
-        delayed, np.round((rel - delay) / period), np.round(rel / period)
+        delayed, np.round((rel - DEMUX_DELAY_S) / period), np.round(rel / period)
     ).astype(np.int64)
     return direct, delayed, slots
 
 
-def _bootstrap_window(t, period, delay, gate):
+def _bootstrap_window(t, period, gate):
     """Find the first window with a real two-peak signature and its skew.
 
     The detected start can sit up to a drift interval off the true onset,
@@ -228,7 +228,7 @@ def _bootstrap_window(t, period, delay, gate):
             ratio, alpha, phase0, n_in = -1.0, 0.0, 0.0, 0
             for a in candidates:
                 tc = tau0 + (t[boot] - tau0) / (1.0 + a)
-                cand_phase, cand_ratio, cand_n = _peak_phase(tc, period, delay, gate)
+                cand_phase, cand_ratio, cand_n = _peak_phase(tc, period, gate)
                 if cand_ratio > ratio:
                     ratio, alpha, phase0, n_in = cand_ratio, float(a), cand_phase, cand_n
             if ratio >= MIN_PEAK_RATIO and n_in >= _MIN_PEAK_TAGS:
@@ -244,7 +244,7 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     be ascending, as ``multiplex_two_channel`` and ``TagStream.from_text``
     produce it.
     """
-    period, gate, delay = params.pulse_period_s, params.gate_width_s, DEMUX_DELAY_S
+    period, gate = params.pulse_period_s, params.gate_width_s
     picked = np.flatnonzero(stream.times_s >= start_s)
     if picked.size < MIN_TAGS_PER_INTERVAL:
         raise LockLost("too few tags after the detected start")
@@ -252,7 +252,7 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     lines = stream.lines[picked].astype(np.uint8)
     horizon = float(t[-1])
 
-    lock_at, w, tau0, alpha, phase0 = _bootstrap_window(t, period, delay, gate)
+    lock_at, w, tau0, alpha, phase0 = _bootstrap_window(t, period, gate)
     if lock_at > 0:
         # tags before the locked window predate the transmission; their
         # slots would map below the transmitter's record anyway
@@ -269,7 +269,7 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
         if probe.sum() < MIN_TAGS_PER_INTERVAL:
             continue
         tc = tau0 + (t[probe] - tau0) / (1.0 + alpha)
-        phase1, ratio1, _ = _peak_phase(tc, period, delay, gate)
+        phase1, ratio1, _ = _peak_phase(tc, period, gate)
         if ratio1 < MIN_PEAK_RATIO:
             continue
         baseline = float(t[probe].mean()) - tau0
@@ -297,14 +297,14 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
             continue
         tc = tau0 + (t[m] - tau0) / (1.0 + alpha)
         if count >= MIN_TAGS_PER_INTERVAL:
-            phase_k, ratio_k, _ = _peak_phase(tc, period, delay, gate)
+            phase_k, ratio_k, _ = _peak_phase(tc, period, gate)
             if ratio_k < MIN_PEAK_RATIO:
                 raise LockLost(f"interval {k}: peak ratio {ratio_k:.2f} below {MIN_PEAK_RATIO}")
             phase_track = phase_track + _circ_diff(phase_k, phase_track % period, period)
             track_times.append(float(tc.mean()))
             track_phases.append(phase_track)
         # tags with few neighbours coast on the last phase estimate
-        direct, delayed, slots = _gate_assign(tc, phase_track, period, delay, gate)
+        direct, delayed, slots = _gate_assign(tc, phase_track, period, gate)
         kept = direct | delayed
         out_slots.append(slots[kept])
         det = lines[m][kept] + np.where(delayed[kept], 2, 0).astype(np.uint8)

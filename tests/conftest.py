@@ -36,7 +36,7 @@ def reference_simulate_detections(record, params, seed):
         detectors = np.where(inject, detectors ^ 2, detectors).astype(np.uint8)
     times = (
         record.start_time_s
-        + pulse_idx * record.pulse_period_s
+        + pulse_idx * params.pulse_period_s
         + rng.normal(0.0, params.pulse_jitter_rms_s, k)
     )
     return DetectionEvents(

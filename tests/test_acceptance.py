@@ -154,11 +154,10 @@ def test_criterion_6_synchronization_quality():
     params = SystemParams(background_rate_cps=20000.0, clock_skew_ppm=10.0)
     n_pulses = 5_000_000
     total = 0.05 + n_pulses * params.pulse_period_s
-    rec = generate_alice_record(params, n_pulses, derive_seed(MASTER, "sync-r"),
-                                start_time_s=0.05)
+    rec = generate_alice_record(n_pulses, derive_seed(MASTER, "sync-r"), start_time_s=0.05)
     events = simulate_detections(rec, params, derive_seed(MASTER, "sync-d"))
     events = add_background(events, params, total, derive_seed(MASTER, "sync-b"))
-    stream = multiplex_two_channel(events, clock_skew_ppm=params.clock_skew_ppm, duration_s=total)
+    stream = multiplex_two_channel(events, params)
     gated = lock_clock(stream, detect_start(stream), params)
 
     # ground truth: undo the clock dilation, subtract the emitting pulse's

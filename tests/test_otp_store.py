@@ -229,6 +229,23 @@ def test_flush_failure_while_opening_is_a_storage_failure(tmp_path, monkeypatch)
         assert store.consume(4, "export") == pad[10:14]
 
 
+@pytest.mark.parametrize("capacity", [0, -1, 2**32, 2.5])
+def test_create_rejects_an_unusable_ledger_capacity_before_touching_the_path(tmp_path, capacity):
+    path = tmp_path / "cap.otp"
+    with pytest.raises(ValueError, match="ledger capacity"):
+        OtpStore.create(path, bytes(64), ledger_capacity=capacity)
+    assert not path.exists()
+    OtpStore.create(path, bytes(64), ledger_capacity=1).close()  # a retry succeeds
+
+
+def test_header_with_zero_ledger_capacity_is_a_storage_failure(tmp_path):
+    # a CRC-valid header whose ring has no slot cannot record a consume
+    path = tmp_path / "cap0.otp"
+    path.write_bytes(OtpStore._pack_header(0, 0, 0, 64) + bytes(64))
+    with pytest.raises(StorageFailure, match="no ledger capacity"):
+        OtpStore(path)
+
+
 def test_ledger_ring_outlives_its_capacity(tmp_path):
     """10^4 consume + top-up sessions through a 4-slot ledger: no byte is
     served twice, and the ledger keeps the last 4 contiguous entries."""

@@ -1,5 +1,7 @@
 """Transmitter/channel/receiver Monte-Carlo against its closed-form oracles."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from qkdsim.photonics import (
     DetectionEvents,
     TagStream,
     add_background,
-    add_background_per_detector,
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
@@ -25,7 +26,7 @@ def seed(label):
 
 
 def test_alice_record_coding_scheme():
-    rec = generate_alice_record(SystemParams(), 4, seed("tiny"))
+    rec = generate_alice_record(4, seed("tiny"))
     assert rec.n_pulses == 4
     assert set(np.unique(rec.states)) <= {0, 1, 2, 3}
     # 0 and 45 degrees carry bit 0, 90 and 135 carry bit 1
@@ -35,14 +36,14 @@ def test_alice_record_coding_scheme():
 
 
 def test_alice_record_deterministic():
-    a = generate_alice_record(SystemParams(), 1000, seed("det"))
-    b = generate_alice_record(SystemParams(), 1000, seed("det"))
+    a = generate_alice_record(1000, seed("det"))
+    b = generate_alice_record(1000, seed("det"))
     assert np.array_equal(a.states, b.states)
 
 
 def test_alice_state_frequencies_uniform():
     n = 1_000_000
-    rec = generate_alice_record(SystemParams(), n, seed("freq"))
+    rec = generate_alice_record(n, seed("freq"))
     counts = np.bincount(rec.states, minlength=4)
     freqs = counts / n
     assert np.all(np.abs(freqs - 0.25) < 0.002)
@@ -52,7 +53,7 @@ def test_alice_state_frequencies_uniform():
 
 def test_simulate_no_photons_gives_no_signal():
     params = SystemParams(mean_photon_number=1e-9)
-    rec = generate_alice_record(params, 10_000, seed("mu0"))
+    rec = generate_alice_record(10_000, seed("mu0"))
     events = simulate_detections(rec, params, seed("mu0d"))
     assert events.n_events == 0
 
@@ -111,7 +112,7 @@ def test_simulate_detections_matches_single_draw_reference(
     reference_sampler, n_pulses, label, overrides
 ):
     params = SystemParams(**overrides)
-    rec = generate_alice_record(params, n_pulses, seed("ref" + label), start_time_s=0.05)
+    rec = generate_alice_record(n_pulses, seed("ref" + label), start_time_s=0.05)
     got = simulate_detections(rec, params, seed("refd" + label))
     want = reference_sampler(rec, params, seed("refo" + label))
     assert got.n_events > 0
@@ -132,7 +133,7 @@ def test_simulate_detections_matches_single_draw_reference(
 
 def test_simulate_detections_without_detections_matches_reference(reference_sampler):
     params = SystemParams(mean_photon_number=1e-9)
-    rec = generate_alice_record(params, 3_000_000, seed("dark"))
+    rec = generate_alice_record(3_000_000, seed("dark"))
     got = simulate_detections(rec, params, seed("darkd"))
     want = reference_sampler(rec, params, seed("darkd"))
     assert got.n_events == want.n_events == 0
@@ -143,7 +144,7 @@ def test_sifted_signal_rate_matches_closed_form():
     # S = R*M*T*eta/4 = 16875/s at the reference parameters
     params = SystemParams()
     n = 5_000_000  # one second of pulses
-    rec = generate_alice_record(params, n, seed("rate"))
+    rec = generate_alice_record(n, seed("rate"))
     events = simulate_detections(rec, params, seed("rated"))
     matched = (events.detectors & 1) == state_bases(rec.states)[events.pulses]
     got = int(matched.sum())
@@ -156,7 +157,7 @@ def test_conditional_wrong_bit_rate_on_135_channel():
     # the conditional error per receiving channel is independent of the
     # photon budget, so crank M and eta purely for sample size
     params = SystemParams(mean_photon_number=3.0, detection_efficiency=1.0)
-    rec = generate_alice_record(params, 700_000, seed("ber"))
+    rec = generate_alice_record(700_000, seed("ber"))
     events = simulate_detections(rec, params, seed("berd"))
     matched = (events.detectors & 1) == state_bases(rec.states)[events.pulses]
     on_135 = matched & (events.detectors == 3)
@@ -167,7 +168,7 @@ def test_conditional_wrong_bit_rate_on_135_channel():
 
 def test_conjugate_basis_bits_uniform():
     params = SystemParams(mean_photon_number=3.0, detection_efficiency=1.0)
-    rec = generate_alice_record(params, 200_000, seed("conj"))
+    rec = generate_alice_record(200_000, seed("conj"))
     events = simulate_detections(rec, params, seed("conjd"))
     mismatch = (events.detectors & 1) != state_bases(rec.states)[events.pulses]
     assert mismatch.sum() >= 100_000
@@ -177,7 +178,7 @@ def test_conjugate_basis_bits_uniform():
 
 def test_background_zero_is_identity():
     params = SystemParams(background_rate_cps=0.0)
-    rec = generate_alice_record(params, 1000, seed("bg0"))
+    rec = generate_alice_record(1000, seed("bg0"))
     events = simulate_detections(rec, params, seed("bg0d"))
     merged = add_background(events, params, 1.0, seed("bg0b"))
     assert np.array_equal(merged.times_s, events.times_s)
@@ -186,11 +187,11 @@ def test_background_zero_is_identity():
 def test_background_count_per_detector():
     # 26000 cps on each of 4 detectors over 1 s
     empty = simulate_detections(
-        generate_alice_record(SystemParams(mean_photon_number=1e-9), 10, seed("x")),
+        generate_alice_record(10, seed("x")),
         SystemParams(mean_photon_number=1e-9),
         seed("y"),
     )
-    events = add_background_per_detector(empty, 26000.0, 1.0, seed("bgc"))
+    events = add_background(empty, SystemParams(background_rate_cps=2 * 26000.0), 1.0, seed("bgc"))
     total = events.n_events
     assert abs(total - 104000) < 3 * np.sqrt(104000)
     for det in range(4):
@@ -201,11 +202,11 @@ def test_background_count_per_detector():
 def test_background_fraction_inside_gate_window():
     # a 5 ns window per 200 ns period catches ~1/40 of uniform background
     empty = simulate_detections(
-        generate_alice_record(SystemParams(mean_photon_number=1e-9), 10, seed("x2")),
+        generate_alice_record(10, seed("x2")),
         SystemParams(mean_photon_number=1e-9),
         seed("y2"),
     )
-    events = add_background_per_detector(empty, 50000.0, 1.0, seed("bgf"))
+    events = add_background(empty, SystemParams(background_rate_cps=2 * 50000.0), 1.0, seed("bgf"))
     phases = events.times_s % 200e-9
     inside = (phases < 5e-9).mean()
     assert abs(inside - 1 / 40) < 3 * np.sqrt((1 / 40) / events.n_events)
@@ -213,11 +214,11 @@ def test_background_fraction_inside_gate_window():
 
 def test_multiplex_empty():
     empty = simulate_detections(
-        generate_alice_record(SystemParams(mean_photon_number=1e-9), 10, seed("e")),
+        generate_alice_record(10, seed("e")),
         SystemParams(mean_photon_number=1e-9),
         seed("f"),
     )
-    stream = multiplex_two_channel(empty)
+    stream = multiplex_two_channel(empty, SystemParams(clock_skew_ppm=0.0))
     assert stream.n_tags == 0
 
 
@@ -228,7 +229,7 @@ def test_multiplex_single_tag_delay_and_relabel():
         detectors=np.array([2], dtype=np.uint8),
         pulses=np.array([0], dtype=np.int64),
     )
-    stream = multiplex_two_channel(events)
+    stream = multiplex_two_channel(events, SystemParams(clock_skew_ppm=0.0))
     assert stream.n_tags == 1
     assert stream.lines[0] == 0
     assert stream.times_s[0] == pytest.approx(tau + 40e-9, abs=1e-15)
@@ -236,13 +237,14 @@ def test_multiplex_single_tag_delay_and_relabel():
 
 def test_multiplex_doubles_per_line_background():
     empty = simulate_detections(
-        generate_alice_record(SystemParams(mean_photon_number=1e-9), 10, seed("g")),
+        generate_alice_record(10, seed("g")),
         SystemParams(mean_photon_number=1e-9),
         seed("h"),
     )
     b_det = 20000.0
-    events = add_background_per_detector(empty, b_det, 1.0, seed("mux"))
-    stream = multiplex_two_channel(events, duration_s=1.0)
+    params = SystemParams(background_rate_cps=2 * b_det, clock_skew_ppm=0.0)
+    events = add_background(empty, params, 1.0, seed("mux"))
+    stream = multiplex_two_channel(events, params)
     for line in (0, 1):
         count = int((stream.lines == line).sum())
         assert abs(count - 2 * b_det) < 4 * np.sqrt(2 * b_det)
@@ -254,7 +256,7 @@ def test_multiplex_collision_dropped():
         detectors=np.array([0, 2, 0], dtype=np.uint8),  # det 2 lands on line 0 at +40ns
         pulses=np.arange(3, dtype=np.int64),
     )
-    stream = multiplex_two_channel(events, dead_time_s=100e-9)
+    stream = multiplex_two_channel(events, SystemParams(clock_skew_ppm=0.0, dead_time_s=100e-9))
     # det-2 tag arrives 45 ns after the first line-0 tag: inside dead time
     assert stream.dropped_collisions == 1
     assert stream.n_tags == 2
@@ -264,7 +266,7 @@ def test_multiplex_ignores_the_order_of_its_events():
     # only multiplex_two_channel puts events in time order, so any order in
     # must give the same stream, dead-time collisions included
     params = SystemParams(background_rate_cps=10000.0)
-    rec = generate_alice_record(params, 100_000, seed("perm"), start_time_s=1e-3)
+    rec = generate_alice_record(100_000, seed("perm"), start_time_s=1e-3)
     ev = simulate_detections(rec, params, seed("perm-d"))
     ev = add_background(ev, params, 0.021, seed("perm-b"))
     # a detector-2 click 45 ns after a detector-0 click shares line 0 inside
@@ -276,8 +278,9 @@ def test_multiplex_ignores_the_order_of_its_events():
     )
     order = np.random.default_rng(8).permutation(ev.n_events)
     shuffled = DetectionEvents(ev.times_s[order], ev.detectors[order], ev.pulses[order])
-    want = multiplex_two_channel(ev, clock_skew_ppm=10.0, dead_time_s=100e-9)
-    got = multiplex_two_channel(shuffled, clock_skew_ppm=10.0, dead_time_s=100e-9)
+    dead = replace(params, dead_time_s=100e-9)
+    want = multiplex_two_channel(ev, dead)
+    got = multiplex_two_channel(shuffled, dead)
     assert want.dropped_collisions >= 1
     assert got.dropped_collisions == want.dropped_collisions
     assert np.all(np.diff(got.times_s) >= 0)
@@ -287,22 +290,22 @@ def test_multiplex_ignores_the_order_of_its_events():
 
 def test_multiplex_deterministic():
     params = SystemParams(background_rate_cps=10000.0)
-    rec = generate_alice_record(params, 100_000, seed("d1"))
+    rec = generate_alice_record(100_000, seed("d1"))
     streams = []
     for _ in range(2):
         ev = simulate_detections(rec, params, seed("d2"))
         ev = add_background(ev, params, 0.025, seed("d3"))
-        streams.append(multiplex_two_channel(ev, clock_skew_ppm=10.0))
+        streams.append(multiplex_two_channel(ev, params))
     assert np.array_equal(streams[0].times_s, streams[1].times_s)
     assert np.array_equal(streams[0].lines, streams[1].lines)
 
 
 def test_tagstream_text_roundtrip(tmp_path):
     params = SystemParams(background_rate_cps=5000.0)
-    rec = generate_alice_record(params, 50_000, seed("io"))
+    rec = generate_alice_record(50_000, seed("io"))
     ev = simulate_detections(rec, params, seed("io2"))
     ev = add_background(ev, params, 0.011, seed("io3"))
-    stream = multiplex_two_channel(ev)
+    stream = multiplex_two_channel(ev, replace(params, clock_skew_ppm=0.0))
     path = tmp_path / "tags.txt"
     stream.to_text(path)
     loaded = TagStream.from_text(path)
@@ -315,12 +318,12 @@ def test_tagstream_text_roundtrip(tmp_path):
 
 def test_ground_truth_labels_partition_stream():
     params = SystemParams(background_rate_cps=8000.0)
-    rec = generate_alice_record(params, 200_000, seed("truth"))
+    rec = generate_alice_record(200_000, seed("truth"))
     ev = simulate_detections(rec, params, seed("truth2"))
     n_signal = ev.n_events
     merged = add_background(ev, params, 0.041, seed("truth3"))
     # a pulse index marks signal and -1 marks background
     assert (merged.pulses >= 0).sum() == n_signal
     assert (merged.pulses == -1).sum() == merged.n_events - n_signal
-    stream = multiplex_two_channel(merged, duration_s=0.041)
+    stream = multiplex_two_channel(merged, replace(params, clock_skew_ppm=0.0))
     assert (stream.truth_pulses >= 0).sum() == n_signal

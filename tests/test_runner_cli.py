@@ -313,6 +313,17 @@ def test_cli_rejects_gate_at_demux_delay_before_writing(tmp_path, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values", ["", ","])
+@pytest.mark.parametrize("sweep", ["background", "gate"])
+def test_cli_rejects_an_empty_sweep_axis_before_writing(tmp_path, sweep, values):
+    out, pad = tmp_path / "out.csv", tmp_path / "pad.otp"
+    argv = ["sweep", "--sweep", sweep, "--values", values, "--out", str(out), "--otp", str(pad)]
+    with pytest.raises(ValueError, match="at least one axis value"):
+        main(argv)
+    assert not out.exists()
+    assert not pad.exists()
+
+
 def test_sweep_gate_rejects_an_unusable_gate_before_any_output(tmp_path):
     # a RunConfig does not know its axis values are gates; sweep_gate checks them
     cfg = RunConfig(

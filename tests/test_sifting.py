@@ -9,7 +9,6 @@ from qkdsim.errors import ErrorTooHigh, QberAboveThreshold
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     add_background,
-    add_background_per_detector,
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
@@ -67,10 +66,10 @@ def gated_run(label, background_cps=0.0, n_pulses=1_500_000, injected=0.0):
         background_rate_cps=background_cps, injected_error_rate=injected
     )
     total = 0.05 + n_pulses * params.pulse_period_s
-    rec = generate_alice_record(params, n_pulses, seed(label + "r"), start_time_s=0.05)
+    rec = generate_alice_record(n_pulses, seed(label + "r"), start_time_s=0.05)
     ev = simulate_detections(rec, params, seed(label + "d"))
     ev = add_background(ev, params, total, seed(label + "b"))
-    stream = multiplex_two_channel(ev, clock_skew_ppm=10.0, duration_s=total)
+    stream = multiplex_two_channel(ev, params)
     gated = lock_clock(stream, detect_start(stream), params)
     truth = stream.truth_pulses[gated.tag_indices]
     sig = truth >= 0
@@ -81,7 +80,7 @@ def gated_run(label, background_cps=0.0, n_pulses=1_500_000, injected=0.0):
 
 
 def test_sift_single_matching_event():
-    rec = generate_alice_record(SystemParams(), 100, seed("one"))
+    rec = generate_alice_record(100, seed("one"))
     state = int(rec.states[10])
     alice_key, bob_key = sift(
         manual_gated([10], [state]), manual_alignment(0), rec, ClassicalChannel()
@@ -92,7 +91,7 @@ def test_sift_single_matching_event():
 
 
 def test_sift_discards_conjugate_basis_and_unfired_slots():
-    rec = generate_alice_record(SystemParams(), 100, seed("disc"))
+    rec = generate_alice_record(100, seed("disc"))
     rec.states[20] = 0  # rectilinear pulse
     gated = manual_gated([20, 20_000], [1, 0])  # diagonal detector; out of range
     alice_key, bob_key = sift(gated, manual_alignment(0), rec, ClassicalChannel())
@@ -101,7 +100,7 @@ def test_sift_discards_conjugate_basis_and_unfired_slots():
 
 
 def test_sift_discards_double_fire_slots():
-    rec = generate_alice_record(SystemParams(), 100, seed("dbl"))
+    rec = generate_alice_record(100, seed("dbl"))
     rec.states[5] = 0
     rec.states[6] = 0
     gated = manual_gated([5, 5, 6], [0, 2, 0])  # slot 5 fired two detectors
@@ -124,9 +123,9 @@ def test_sift_zero_error_without_noise_sources():
     params = SystemParams(
         base_ber_per_channel=(0.0, 0.0, 0.0, 0.0), clock_skew_ppm=0.0
     )
-    rec = generate_alice_record(params, 1_000_000, seed("cleanr"), start_time_s=0.05)
+    rec = generate_alice_record(1_000_000, seed("cleanr"), start_time_s=0.05)
     ev = simulate_detections(rec, params, seed("cleand"))
-    stream = multiplex_two_channel(ev, duration_s=0.25)
+    stream = multiplex_two_channel(ev, params)
     gated = lock_clock(stream, detect_start(stream), params)
     truth = stream.truth_pulses[gated.tag_indices]
     offs = gated.slots - truth
@@ -137,13 +136,13 @@ def test_sift_zero_error_without_noise_sources():
 
 
 def test_sift_background_only_events_are_coin_flips():
-    rec = generate_alice_record(SystemParams(), 200_000, seed("bgr"))
+    rec = generate_alice_record(200_000, seed("bgr"))
     empty = simulate_detections(
-        generate_alice_record(SystemParams(mean_photon_number=1e-9), 10, seed("e")),
+        generate_alice_record(10, seed("e")),
         SystemParams(mean_photon_number=1e-9),
         seed("f"),
     )
-    ev = add_background_per_detector(empty, 20000.0, 0.04, seed("bgb"))
+    ev = add_background(empty, SystemParams(background_rate_cps=2 * 20000.0), 0.04, seed("bgb"))
     gated = manual_gated(
         np.arange(ev.n_events), ev.detectors
     )  # pretend each landed in its own slot
@@ -298,7 +297,7 @@ class FirstFrames(ClassicalChannel):
 
 def test_channel_frames_match_known_answers():
     params = SystemParams()
-    rec = generate_alice_record(params, 200_000, seed("kat-r"))
+    rec = generate_alice_record(200_000, seed("kat-r"))
     ev = simulate_detections(rec, params, seed("kat-d"))
     # the detections in time order, as the pinned frames were recorded
     order = np.argsort(ev.times_s, kind="stable")

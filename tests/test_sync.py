@@ -11,7 +11,6 @@ from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     TagStream,
     add_background,
-    add_background_per_detector,
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
@@ -35,12 +34,15 @@ def seed(label):
     return derive_seed(MASTER, label)
 
 
-def background_stream(rate_cps, duration, label, skew_ppm=0.0):
-    params = SystemParams(mean_photon_number=1e-9)
-    rec = generate_alice_record(params, 10, seed(label + "r"))
+def background_stream(rate_cps, duration, label):
+    # rate_cps over both lines is rate_cps / 4 on each of the four detectors
+    params = SystemParams(
+        mean_photon_number=1e-9, background_rate_cps=rate_cps / 2, clock_skew_ppm=0.0
+    )
+    rec = generate_alice_record(10, seed(label + "r"))
     events = simulate_detections(rec, params, seed(label + "d"))
-    events = add_background_per_detector(events, rate_cps / 4, duration, seed(label + "b"))
-    return multiplex_two_channel(events, clock_skew_ppm=skew_ppm, duration_s=duration)
+    events = add_background(events, params, duration, seed(label + "b"))
+    return multiplex_two_channel(events, params)
 
 
 def signal_stream(
@@ -54,12 +56,10 @@ def signal_stream(
 ):
     params = params or SystemParams(background_rate_cps=background_cps)
     total = lead_in + n_pulses * params.pulse_period_s
-    rec = generate_alice_record(params, n_pulses, seed(label + "r"), start_time_s=lead_in)
+    rec = generate_alice_record(n_pulses, seed(label + "r"), start_time_s=lead_in)
     events = sample(rec, params, seed(label + "d"))
     events = add_background(events, params, total, seed(label + "b"))
-    stream = multiplex_two_channel(
-        events, clock_skew_ppm=skew_ppm, duration_s=total, dead_time_s=params.dead_time_s
-    )
+    stream = multiplex_two_channel(events, replace(params, clock_skew_ppm=skew_ppm))
     return stream, rec
 
 
@@ -75,8 +75,6 @@ def test_detect_start_finds_rate_jump():
     stream = TagStream(
         times_s=times,
         lines=rng.integers(0, 2, times.size).astype(np.uint8),
-        clock_skew_ppm=0.0,
-        duration_s=1.5,
     )
     onset = detect_start(stream)
     assert 0.4 <= onset <= 0.6
@@ -121,12 +119,11 @@ def test_lock_clock_retention_under_skew():
     # same photon stream, recorded by a perfect clock and by one 10 ppm off
     params = SystemParams()
     n_pulses = 5_000_000
-    total = 0.05 + n_pulses * params.pulse_period_s
-    rec = generate_alice_record(params, n_pulses, seed("skr"), start_time_s=0.05)
+    rec = generate_alice_record(n_pulses, seed("skr"), start_time_s=0.05)
     events = simulate_detections(rec, params, seed("skd"))
     kept = {}
     for ppm in (0.0, 10.0):
-        stream = multiplex_two_channel(events, clock_skew_ppm=ppm, duration_s=total)
+        stream = multiplex_two_channel(events, replace(params, clock_skew_ppm=ppm))
         gated = lock_clock(stream, detect_start(stream), params)
         kept[ppm] = gated.n_events / stream.n_tags
     assert kept[10.0] >= 0.99 * kept[0.0]
@@ -204,10 +201,10 @@ def test_lock_clock_known_answer(reference_sampler, background_cps):
 def test_lock_clock_lost_when_signal_stops():
     params = SystemParams(background_rate_cps=30000.0)
     n_pulses = 1_000_000  # 0.2 s of signal, then 0.3 s of bare background
-    rec = generate_alice_record(params, n_pulses, seed("lostr"), start_time_s=0.0)
+    rec = generate_alice_record(n_pulses, seed("lostr"), start_time_s=0.0)
     events = simulate_detections(rec, params, seed("lostd"))
     events = add_background(events, params, 0.5, seed("lostb"))
-    stream = multiplex_two_channel(events, duration_s=0.5)
+    stream = multiplex_two_channel(events, replace(params, clock_skew_ppm=0.0))
     with pytest.raises(LockLost):
         lock_clock(stream, 0.0, params)
 
@@ -215,8 +212,32 @@ def test_lock_clock_lost_when_signal_stops():
 def test_gate_assign_degenerate_full_period_keeps_everything():
     rng = np.random.default_rng(3)
     times = np.sort(rng.random(5000) * 1e-3)
-    direct, delayed, _ = _gate_assign(times, 0.0, 200e-9, 40e-9, 200e-9)
+    direct, delayed, _ = _gate_assign(times, 0.0, 200e-9, 200e-9)
     assert np.all(direct | delayed)
+
+
+@pytest.mark.parametrize("background_cps", [0.0, 20000.0])
+def test_tag_file_carries_everything_the_clock_lock_reads(tmp_path, background_cps):
+    # Read back from the tag file, the stream gates exactly as the in-memory
+    # one at the file's 1 ps resolution, whose oracle fields the file drops:
+    # times and lines are all the protocol reads.
+    params = SystemParams(background_rate_cps=background_cps)
+    stream, _ = signal_stream(
+        "file", n_pulses=1_500_000, params=params, skew_ppm=params.clock_skew_ppm
+    )
+    path = tmp_path / "tags.txt"
+    stream.to_text(path)
+    loaded = TagStream.from_text(path)
+    on_grid = replace(stream, times_s=np.round(stream.times_s * 1e12) * 1e-12)
+    assert np.array_equal(loaded.times_s, on_grid.times_s)
+    want = lock_clock(on_grid, detect_start(on_grid), params)
+    got = lock_clock(loaded, detect_start(loaded), params)
+    assert want.n_events > 5000
+    for name in ("slots", "detectors", "tag_indices"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # rounding to the picosecond moves only tags at a gate edge
+    exact = lock_clock(stream, detect_start(stream), params)
+    assert np.setxor1d(exact.tag_indices, got.tag_indices).size <= exact.n_events // 1000
 
 
 def test_phase_histogram_shows_two_peaks(tmp_path):
@@ -249,7 +270,7 @@ def aligned_subset(rec, n, offset, error_rate, rng):
 
 
 def test_sparse_align_perfect_subset():
-    rec = generate_alice_record(SystemParams(), 100_000, seed("al0"))
+    rec = generate_alice_record(100_000, seed("al0"))
     rng = np.random.default_rng(5)
     slots, bases, bits = aligned_subset(rec, 300, 0, 0.0, rng)
     result = sparse_align(slots, bases, bits, rec, search_range=2000)
@@ -258,7 +279,7 @@ def test_sparse_align_perfect_subset():
 
 
 def test_sparse_align_known_offset_with_errors():
-    rec = generate_alice_record(SystemParams(), 200_000, seed("al1"))
+    rec = generate_alice_record(200_000, seed("al1"))
     rng = np.random.default_rng(6)
     slots, bases, bits = aligned_subset(rec, 400, 1234, 0.05, rng)
     result = sparse_align(slots, bases, bits, rec, search_range=5000)
@@ -267,7 +288,7 @@ def test_sparse_align_known_offset_with_errors():
 
 
 def test_sparse_align_uncorrelated_subset_is_ambiguous():
-    rec = generate_alice_record(SystemParams(), 100_000, seed("al2"))
+    rec = generate_alice_record(100_000, seed("al2"))
     rng = np.random.default_rng(7)
     slots = np.sort(rng.choice(50_000, size=300, replace=False))
     bases = rng.integers(0, 2, 300).astype(np.uint8)
@@ -277,7 +298,7 @@ def test_sparse_align_uncorrelated_subset_is_ambiguous():
 
 
 def test_sparse_align_enforces_minimum_subset():
-    rec = generate_alice_record(SystemParams(), 10_000, seed("al3"))
+    rec = generate_alice_record(10_000, seed("al3"))
     with pytest.raises(ValueError):
         sparse_align(
             np.arange(100), np.zeros(100, np.uint8), np.zeros(100, np.uint8), rec, 100_000
@@ -343,7 +364,7 @@ def test_offset_scores_match_reference_on_pipeline_subsets(background_cps):
 
 
 def test_offset_scores_match_reference_with_slots_outside_the_record():
-    rec = generate_alice_record(SystemParams(), 60_000, seed("ref-out"))
+    rec = generate_alice_record(60_000, seed("ref-out"))
     rng = np.random.default_rng(12)
     slots = rng.integers(-20_000, 80_000, 400)
     bases = rng.integers(0, 2, 400)
@@ -353,7 +374,7 @@ def test_offset_scores_match_reference_with_slots_outside_the_record():
 
 
 def test_offset_scores_match_reference_on_a_record_shorter_than_the_search():
-    rec = generate_alice_record(SystemParams(), 3_000, seed("ref-short"))
+    rec = generate_alice_record(3_000, seed("ref-short"))
     rng = np.random.default_rng(13)
     idx = rng.choice(rec.n_pulses, size=250, replace=False)
     slots = idx - 700
@@ -368,7 +389,7 @@ def test_offset_scores_match_reference_across_the_counter_flush(n_events):
     # Aligned events put every event's agreement on one offset, and each
     # other offset collects about n/2 basis mismatches, so both counters
     # pass 255 once n does.
-    rec = generate_alice_record(SystemParams(), 20_000, seed(f"flush{n_events}"))
+    rec = generate_alice_record(20_000, seed(f"flush{n_events}"))
     rng = np.random.default_rng(n_events)
     slots, bases, bits = aligned_subset(rec, n_events, 321, 0.02, rng)
     scores = assert_scores_match(slots, bases, bits, rec, 3_000)
@@ -376,7 +397,7 @@ def test_offset_scores_match_reference_across_the_counter_flush(n_events):
 
 
 def test_offset_scores_match_reference_with_out_of_range_bases_and_bits():
-    rec = generate_alice_record(SystemParams(), 30_000, seed("ref-odd"))
+    rec = generate_alice_record(30_000, seed("ref-odd"))
     rng = np.random.default_rng(14)
     slots, bases, bits = aligned_subset(rec, 400, -50, 0.0, rng)
     bases[::7] = 2  # a basis of 2 matches nothing
@@ -387,7 +408,7 @@ def test_offset_scores_match_reference_with_out_of_range_bases_and_bits():
 
 
 def test_offset_scores_match_reference_with_repeated_slots():
-    rec = generate_alice_record(SystemParams(), 30_000, seed("ref-rep"))
+    rec = generate_alice_record(30_000, seed("ref-rep"))
     rng = np.random.default_rng(15)
     slots, bases, bits = aligned_subset(rec, 150, 40, 0.1, rng)
     slots = np.concatenate([slots, slots, slots[:50]])
@@ -397,7 +418,7 @@ def test_offset_scores_match_reference_with_repeated_slots():
 
 
 def test_offset_scores_match_reference_at_zero_search_range():
-    rec = generate_alice_record(SystemParams(), 5_000, seed("ref-zero"))
+    rec = generate_alice_record(5_000, seed("ref-zero"))
     rng = np.random.default_rng(16)
     slots, bases, bits = aligned_subset(rec, 300, 0, 0.05, rng)
     scores = assert_scores_match(slots, bases, bits, rec, 0)
@@ -405,7 +426,7 @@ def test_offset_scores_match_reference_at_zero_search_range():
 
 
 def test_sparse_align_runner_up_is_the_second_highest_score():
-    rec = generate_alice_record(SystemParams(), 100_000, seed("al-runner"))
+    rec = generate_alice_record(100_000, seed("al-runner"))
     rng = np.random.default_rng(17)
     slots, bases, bits = aligned_subset(rec, 400, 777, 0.05, rng)
     result = sparse_align(slots, bases, bits, rec, search_range=5000)
@@ -420,7 +441,7 @@ def test_sparse_align_runner_up_is_the_second_highest_score():
 
 def test_sparse_align_raises_on_a_planted_tie_at_the_top():
     # A record that repeats every 1000 pulses scores offsets 1000 apart alike.
-    period = generate_alice_record(SystemParams(), 1_000, seed("al-tie"))
+    period = generate_alice_record(1_000, seed("al-tie"))
     rec = replace(period, states=np.tile(period.states, 20))
     rng = np.random.default_rng(18)
     idx = rng.choice(np.arange(5_000, 15_000), size=300, replace=False)
