@@ -215,18 +215,25 @@ def add_background(
 
 def _keep_after_dead_time(times: np.ndarray, resolution: float) -> np.ndarray:
     """Greedy survivor mask: drop any tag closer than `resolution` to the
-    previously kept tag on the same line."""
+    previously kept tag on the same line.
+
+    Only a tag closer than `resolution` to its predecessor can be dropped:
+    any other tag is at least that far from every earlier tag, so it is
+    kept, and the rule restarts from it. The greedy loop therefore runs
+    only over clusters of close tags, each from the kept tag before it.
+    """
     keep = np.ones(times.size, dtype=bool)
-    if times.size < 2:
-        return keep
-    if not (np.diff(times) < resolution).any():
-        return keep
+    close = np.flatnonzero(np.diff(times) < resolution) + 1
     last = -np.inf
-    for i, t in enumerate(times):
+    prev = -1
+    for i, t, before in zip(close.tolist(), times[close].tolist(), times[close - 1].tolist()):
+        if i != prev + 1:  # a new cluster: its opening tag i - 1 was kept
+            last = before
         if t - last >= resolution:
             last = t
         else:
             keep[i] = False
+        prev = i
     return keep
 
 

@@ -17,6 +17,7 @@ regular column-weight-3, near-regular row-weight code, deterministic in
 
 import hashlib
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,6 +87,13 @@ class Syndrome:
             raise ValueError("syndrome bits must be binary")
 
 
+def _int64_buffer(values: np.ndarray) -> array:
+    """The values as an ``array("q")``, copied in one block."""
+    buf = array("q")
+    buf.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
+    return buf
+
+
 def build_factor_graph(n: int, target_rate: float, seed: bytes) -> FactorGraph:
     """Deterministic column-weight-3 graph with m = round(n * (1 - rate)) checks."""
     if n < MIN_BLOCK_BITS:
@@ -97,35 +105,43 @@ def build_factor_graph(n: int, target_rate: float, seed: bytes) -> FactorGraph:
         raise RateInfeasible(f"rate {target_rate} gives {m} checks for {n} bits")
 
     # Fisher-Yates over edge slots; below_many gives exactly the draws of
-    # successive stream.below(i + 1) calls for i = 3n - 1, ..., 1.
+    # successive stream.below(i + 1) calls for i = 3n - 1, ..., 1. The swap
+    # loop runs over fixed-width int64 buffers, so no per-edge int objects
+    # outlive a single swap.
     n_edges = VARIABLE_DEGREE * n
-    draws = HashStream(seed).below_many(np.arange(n_edges, 1, -1)).tolist()
-    slots = np.repeat(np.arange(n), VARIABLE_DEGREE).tolist()
+    draws = _int64_buffer(HashStream(seed).below_many(np.arange(n_edges, 1, -1)))
+    slots = _int64_buffer(np.repeat(np.arange(n), VARIABLE_DEGREE))
     for i, j in zip(range(n_edges - 1, 0, -1), draws):
         slots[i], slots[j] = slots[j], slots[i]
+    del draws
 
     # Edge (check c, variable v) is the key c * n + v. A position whose key
     # already occurred earlier in the same check is a duplicate.
     bounds = (np.arange(m + 1, dtype=np.int64) * n_edges) // m
-    keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(bounds)) * n + slots
+    keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(bounds)) * n
+    keys += np.frombuffer(slots, dtype=np.int64)
+    del slots
     firsts, first_pos = np.unique(keys, return_index=True)
     is_dup = np.ones(n_edges, dtype=bool)
     is_dup[first_pos] = False
     # Spill and refill: each duplicate, in position order, moves to the next
     # check (cyclically from where it collided) that lacks the variable. A
-    # variable belongs to at most 3 checks, so this always lands.
-    members = set(firsts.tolist())
-    refilled = []
+    # variable belongs to at most 3 checks, so this always lands. A key is
+    # an edge if the sorted firsts hold it or an earlier refill placed it.
+    refilled = set()
     for key in keys[is_dup].tolist():
         c0, v = divmod(key, n)
         for step in range(1, m + 1):
             moved = (c0 + step) % m * n + v
-            if moved not in members:
-                members.add(moved)
-                refilled.append(moved)
-                break
+            if moved in refilled:
+                continue
+            at = int(np.searchsorted(firsts, moved))
+            if at < firsts.size and firsts[at] == moved:
+                continue
+            refilled.add(moved)
+            break
 
-    edges = np.sort(np.concatenate([firsts, np.array(refilled, dtype=np.int64)]))
+    edges = np.sort(np.concatenate([firsts, np.fromiter(refilled, np.int64, len(refilled))]))
     check_index = edges // n
     var_index = edges % n
     counts = np.bincount(check_index, minlength=m)

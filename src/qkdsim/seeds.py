@@ -98,7 +98,9 @@ class HashStream:
             raise ValueError("bound must be positive")
         k = bounds.size
         self._fill(8 * k)
-        u = np.frombuffer(bytes(self._buf[: 8 * k]), dtype=">u8").astype(np.uint64)
+        # astype copies out of the buffer, and the temporary view is gone
+        # before the del below (a bytearray with a live export cannot shrink).
+        u = np.frombuffer(self._buf, dtype=">u8", count=k).astype(np.uint64)
         top = np.uint64(2**64 - 1)
         rem = (top % bounds + np.uint64(1)) % bounds  # 2^64 mod b
         rejected = u > top - rem

@@ -8,6 +8,7 @@ import pytest
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     DetectionEvents,
+    _keep_after_dead_time,
     TagStream,
     add_background,
     generate_alice_record,
@@ -260,6 +261,50 @@ def test_multiplex_collision_dropped():
     # det-2 tag arrives 45 ns after the first line-0 tag: inside dead time
     assert stream.dropped_collisions == 1
     assert stream.n_tags == 2
+
+
+def _reference_keep_after_dead_time(times, resolution):
+    """The per-tag greedy loop over a whole line."""
+    keep = np.ones(times.size, dtype=bool)
+    last = -np.inf
+    for i, t in enumerate(times):
+        if t - last >= resolution:
+            last = t
+        else:
+            keep[i] = False
+    return keep
+
+
+_DENSE_TIMES = np.sort(np.random.default_rng(5).random(4000)) * 4000 * 30e-9
+
+
+@pytest.mark.parametrize(
+    "times_ns",
+    [
+        [],
+        [7.0],
+        [0.0, 100.0, 200.0, 300.0],  # no collision
+        [0.0, 50.0, 100.0],  # gaps of exactly the resolution
+        [0.0, 10.0, 200.0, 400.0, 420.0, 900.0],  # isolated pairs
+        [0.0, 1.0, 300.0, 600.0],  # collision at the first tag
+        [0.0, 300.0, 600.0, 601.0],  # collision at the last tag
+        [0.0, 30.0, 60.0, 90.0, 120.0, 500.0, 530.0, 560.0, 590.0],  # chains
+        [0.0, 20.0, 40.0, 60.0, 80.0, 100.0, 120.0],  # one chain, whole line
+        _DENSE_TIMES * 1e9,  # thousands of clusters of every length
+    ],
+)
+def test_dead_time_clusters_match_whole_line_loop(times_ns):
+    times = np.asarray(times_ns, dtype=np.float64) * 1e-9
+    got = _keep_after_dead_time(times, 50e-9)
+    assert got.tobytes() == _reference_keep_after_dead_time(times, 50e-9).tobytes()
+
+
+def test_dead_time_dense_line_drops_inside_long_chains():
+    keep = _keep_after_dead_time(_DENSE_TIMES, 50e-9)
+    close = np.diff(_DENSE_TIMES) < 50e-9
+    # a run of at least three close gaps in a row, with a kept tag inside it
+    assert 0 < np.count_nonzero(~keep) < np.count_nonzero(close)
+    assert any(close[i:i + 3].all() and keep[i + 2] for i in range(close.size - 2))
 
 
 def test_multiplex_ignores_the_order_of_its_events():

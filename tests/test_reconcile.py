@@ -1,6 +1,7 @@
 """Factor-graph construction, syndrome algebra and BP decoding."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,8 +66,13 @@ def _fingerprint(g):
     return g.adjacency_digest().hex(), ptr_digest, g.m, g.n_edges
 
 
-def _reference_build_factor_graph(n, target_rate, seed):
-    """The draw-by-draw construction the README contract describes."""
+def _reference_build_factor_graph(n, target_rate, seed, refill_hits=None):
+    """The draw-by-draw construction the README contract describes.
+
+    A list passed as ``refill_hits`` collects each (check, variable) that a
+    spilled duplicate skips because an earlier refill already put the
+    variable in that check.
+    """
     m = int(round(n * (1.0 - target_rate)))
     stream = HashStream(seed)
     slots = np.repeat(np.arange(n, dtype=np.int64), 3)
@@ -84,11 +90,15 @@ def _reference_build_factor_graph(n, target_rate, seed):
                 spilled.append((c, v))
             else:
                 members[c].add(v)
+    refilled = set()
     for c0, v in spilled:
         for step in range(1, m + 1):
             c = (c0 + step) % m
+            if (c, v) in refilled and refill_hits is not None:
+                refill_hits.append((c, v))
             if v not in members[c]:
                 members[c].add(v)
+                refilled.add((c, v))
                 break
     check_index, var_index = [], []
     for c in range(m):
@@ -142,6 +152,34 @@ def test_graph_matches_draw_by_draw_reference(n, rate, label):
     assert np.array_equal(g.check_index, check_index)
     assert np.array_equal(g.var_index, var_index)
     assert np.array_equal(g.check_ptr, ptr)
+
+
+# Seeds found by search among derive_seed(SEED, f"refill-{n}-{i}"), i < 40:
+# in each graph a spilled duplicate meets a check that already holds its
+# variable because of an earlier refill.
+@pytest.mark.parametrize("n, label", [(256, "refill-256-0"), (512, "refill-512-11"),
+                                      (1024, "refill-1024-1")])
+def test_graph_matches_reference_when_refills_collide(n, label):
+    seed = derive_seed(SEED, label)
+    hits = []
+    check_index, var_index, ptr = _reference_build_factor_graph(n, 0.85, seed, hits)
+    assert hits
+    g = build_factor_graph(n, 0.85, seed)
+    assert np.array_equal(g.check_index, check_index)
+    assert np.array_equal(g.var_index, var_index)
+    assert np.array_equal(g.check_ptr, ptr)
+
+
+def test_graph_build_memory_stays_small():
+    # a full-size block allocated a 38.6 MB peak while it held per-edge lists
+    build_factor_graph(1024, 0.6, SEED)  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        build_factor_graph(65_536, 0.6, SEED)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 20e6
 
 
 def test_graph_check_count_arithmetic():
