@@ -1,5 +1,6 @@
 """Transmitter/channel/receiver Monte-Carlo against its closed-form oracles."""
 
+import hashlib
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from qkdsim.photonics import (
     state_bases,
     state_bits,
 )
-from qkdsim.seeds import derive_seed
+from qkdsim.seeds import derive_seed, np_rng
 
 MASTER = bytes(range(32))
 
@@ -331,6 +332,36 @@ def test_multiplex_ignores_the_order_of_its_events():
     assert np.all(np.diff(got.times_s) >= 0)
     for name in ("times_s", "lines", "truth_pulses"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def bright_events(sample, label, n_pulses=2_500_000):
+    """Signal plus background at the brightest bright_sweep row, B = 150 000."""
+    params = SystemParams(background_rate_cps=150_000.0)
+    rec = generate_alice_record(n_pulses, seed(label + "r"), start_time_s=0.05)
+    events = sample(rec, params, seed(label + "d"))
+    duration = 0.05 + n_pulses * params.pulse_period_s
+    return events, add_background(events, params, duration, seed(label + "b")), params
+
+
+# Known answers of the bright-row multiplexer, recorded while add_background
+# still left its draws unsorted: dead time -> (dropped collisions, SHA-256
+# of the times, lines and truth pulses). The per-pulse reference sampler
+# supplies the signal, so only add_background and multiplex_two_channel
+# move these answers.
+BRIGHT_MUX_KNOWN_ANSWERS = {
+    0.0: (0, "05a54d0dd2ea7501e55510bad18713855f6fdc6abde6b880de4cd4f7c807373a"),
+    50e-9: (1454, "9c8321f914395575102f5ec73121fb8c9910b9ad963e068c344ec016dc3add77"),
+}
+
+
+@pytest.mark.parametrize("dead_time_s", sorted(BRIGHT_MUX_KNOWN_ANSWERS))
+def test_bright_multiplex_known_answer(reference_sampler, dead_time_s):
+    _, events, params = bright_events(reference_sampler, "bright-ka")
+    stream = multiplex_two_channel(events, replace(params, dead_time_s=dead_time_s))
+    digest = hashlib.sha256()
+    for a in (stream.times_s, stream.lines, stream.truth_pulses):
+        digest.update(a.tobytes())
+    assert (stream.dropped_collisions, digest.hexdigest()) == BRIGHT_MUX_KNOWN_ANSWERS[dead_time_s]
 
 
 def test_multiplex_deterministic():

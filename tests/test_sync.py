@@ -20,6 +20,9 @@ from qkdsim.photonics import (
 from qkdsim.seeds import derive_seed
 from qkdsim.sync import (
     _MIN_MATCHED_FOR_SCORE,
+    START_DETECT_RATIO,
+    START_DETECT_WINDOW,
+    _bootstrap_window,
     _gate_assign,
     _offset_scores,
     detect_start,
@@ -97,6 +100,91 @@ def test_detect_start_at_bright_background():
     stream, _ = signal_stream("bright", background_cps=26000.0, skew_ppm=10.0)
     onset = detect_start(stream)
     assert abs(onset - 0.05) < 0.02
+
+
+
+def _reference_detect_start(stream, medians=None):
+    """The np.median loop over a growing list of window rates.
+
+    Appends (baselines seen, trailing median) to ``medians`` at every
+    window it compares, so a test can see which cases it reached.
+    """
+    from qkdsim.sync import _refine_onset, _window_rates
+
+    times = stream.times_s
+    width = START_DETECT_WINDOW
+    if times.size < max(8, width // 8):
+        raise NoJumpFound("too few tags to detect a rate jump")
+    width = min(width, times.size)
+    stride = max(width // 2, 1)
+    baselines = []
+    if times[0] > times[width - 1] - times[0]:
+        baselines.append(1.0 / times[0])
+    starts, rates = _window_rates(times, width, stride)
+    for k in range(starts.size):
+        if baselines:
+            trailing = float(np.median(baselines))
+            if medians is not None:
+                medians.append((len(baselines), trailing))
+            if rates[k] > START_DETECT_RATIO * trailing:
+                lo = max(int(starts[k]) - width, 0)
+                hi = min(int(starts[k]) + 2 * width, times.size)
+                return _refine_onset(times, lo, hi)
+        baselines.append(float(rates[k]))
+    raise NoJumpFound("no window exceeded the trailing background rate")
+
+
+def _start_or_no_jump(detect, stream, **kwargs):
+    try:
+        return detect(stream, **kwargs)
+    except NoJumpFound:
+        return "NoJumpFound"
+
+
+@pytest.mark.parametrize("background_cps", [0.0, 25000.0, 80000.0, 100000.0, 150000.0])
+def test_detect_start_matches_median_loop_reference(background_cps):
+    outcomes = []
+    for k in range(3):
+        stream, _ = signal_stream(
+            f"ds{background_cps:g}-{k}", n_pulses=2_500_000, background_cps=background_cps
+        )
+        medians = []
+        want = _start_or_no_jump(_reference_detect_start, stream, medians=medians)
+        assert _start_or_no_jump(detect_start, stream) == want
+        outcomes.append(want)
+        if background_cps == 0.0:
+            # the quiet lead-in seeds the baselines before the first window
+            assert medians[0] == (1, 1.0 / stream.times_s[0])
+    if background_cps == 150000.0:
+        assert "NoJumpFound" in outcomes
+
+
+def _stream_with_repeated_times(label):
+    """Background with clusters of identical tag times and a rate step.
+
+    A window inside a cluster spans zero time and has rate ``inf``. The
+    clusters lead the stream from t = 0 (no lead-in baseline), so the
+    early trailing medians are infinite until the quiet windows outnumber
+    them; the loud half then stands out.
+    """
+    rng = np.random.default_rng(np.frombuffer(seed(label)[:8], np.uint64))
+    cluster_at = np.concatenate([[0.0], rng.random(5) * 0.05])
+    clusters = np.repeat(cluster_at, rng.integers(4000, 8000, cluster_at.size))
+    quiet = 0.05 + rng.random(100_000) * 0.95
+    loud = 1.0 + rng.random(300_000) * 1.0
+    times = np.sort(np.concatenate([quiet, loud, clusters]))
+    return TagStream(times_s=times, lines=np.zeros(times.size, np.uint8))
+
+
+@pytest.mark.parametrize("label", ["dup0", "dup1", "dup2"])
+def test_detect_start_matches_median_loop_reference_on_repeated_times(label):
+    stream = _stream_with_repeated_times(label)
+    medians = []
+    want = _start_or_no_jump(_reference_detect_start, stream, medians=medians)
+    assert _start_or_no_jump(detect_start, stream) == want
+    assert {n % 2 for n, _ in medians} == {0, 1}
+    assert any(np.isinf(m) for _, m in medians) and np.isfinite(medians[-1][1])
+    assert want != "NoJumpFound"
 
 
 # -- clock lock ---------------------------------------------------------------
@@ -196,6 +284,38 @@ def test_lock_clock_known_answer(reference_sampler, background_cps):
         digest.update(np.ascontiguousarray(a).tobytes())
     got = (gated.n_events, float(gated.recovered_period_s), digest.hexdigest())
     assert got == LOCK_KNOWN_ANSWERS[background_cps]
+
+
+
+# Known answers of lock_clock from a start detected early, so the
+# bootstrap slides past its first window: background -> (seconds early,
+# gated events, recovered period, SHA-256 as above), recorded before the
+# lock windows were taken as slices.
+EARLY_LOCK_KNOWN_ANSWERS = {
+    25000.0: (0.005, 17767, 2.0000199998528936e-07,
+              "e0488903ae2f5269c7ea51d915986d8200ea96d6f9a620e6f87bf14205dbbab8"),
+    80000.0: (0.01, 20433, 2.0000200009738954e-07,
+              "456d44d4d4bb6e34cb613bae3d430b8df40b3258927ee39f37b6ca22e6fd214e"),
+}
+
+
+@pytest.mark.parametrize("background_cps", sorted(EARLY_LOCK_KNOWN_ANSWERS))
+def test_lock_clock_known_answer_from_an_early_start(reference_sampler, background_cps):
+    early, *answer = EARLY_LOCK_KNOWN_ANSWERS[background_cps]
+    stream, _ = signal_stream(
+        f"early{background_cps:g}", n_pulses=2_500_000, background_cps=background_cps,
+        skew_ppm=10.0, sample=reference_sampler,
+    )
+    start = detect_start(stream) - early
+    params = SystemParams()
+    t = stream.times_s[stream.times_s >= start] - start
+    assert _bootstrap_window(t, params.pulse_period_s, params.gate_width_s)[0] > 0
+    gated = lock_clock(stream, start, params)
+    digest = hashlib.sha256()
+    for a in (gated.slots, gated.detectors, gated.tag_indices, gated.phase_histogram):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    got = [gated.n_events, float(gated.recovered_period_s), digest.hexdigest()]
+    assert got == answer
 
 
 def test_lock_clock_lost_when_signal_stops():
