@@ -20,6 +20,7 @@ is recovered from the tag stream itself in three steps.
 """
 
 import csv
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,6 +109,15 @@ def _refine_onset(times: np.ndarray, lo: int, hi: int) -> float:
     return float(seg[int(j[np.argmax(log_lik)])])
 
 
+def _sorted_median(values: list) -> float:
+    """Median of an ascending list, computed as ``np.median`` computes it:
+    the middle value, or the mean of the two middle values."""
+    mid = len(values) // 2
+    if len(values) % 2:
+        return values[mid]
+    return (values[mid - 1] + values[mid]) / 2.0
+
+
 def detect_start(stream: TagStream) -> float:
     """Time at which the transmission begins, from the tag-rate jump.
 
@@ -115,7 +125,9 @@ def detect_start(stream: TagStream) -> float:
     so far (seeded with the empty lead-in before the first tag); the
     first window exceeding ``START_DETECT_RATIO`` times that estimate is
     refined by a two-segment Poisson changepoint MLE over the tags around
-    it; start detection needs neither the period nor the gate.
+    it; start detection needs neither the period nor the gate. The rates
+    are kept in a sorted list, so the running median is exact and each
+    window costs one insertion instead of a median over every rate so far.
     """
     times = stream.times_s
     width = START_DETECT_WINDOW
@@ -124,21 +136,19 @@ def detect_start(stream: TagStream) -> float:
     width = min(width, times.size)
     stride = max(width // 2, 1)
 
-    baselines = []
+    baselines = []  # ascending
     first_span = times[width - 1] - times[0]
     if times[0] > first_span:
         # a quiet lead-in longer than the first window's own span is real
         # evidence of a low trailing rate (the zero-background case)
-        baselines.append(1.0 / times[0])
+        baselines.append(float(1.0 / times[0]))
     starts, rates = _window_rates(times, width, stride)
-    for k in range(starts.size):
-        if baselines:
-            trailing = float(np.median(baselines))
-            if rates[k] > START_DETECT_RATIO * trailing:
-                lo = max(int(starts[k]) - width, 0)
-                hi = min(int(starts[k]) + 2 * width, times.size)
-                return _refine_onset(times, lo, hi)
-        baselines.append(float(rates[k]))
+    for start, rate in zip(starts.tolist(), rates.tolist()):
+        if baselines and rate > START_DETECT_RATIO * _sorted_median(baselines):
+            lo = max(start - width, 0)
+            hi = min(start + 2 * width, times.size)
+            return _refine_onset(times, lo, hi)
+        insort(baselines, rate)
     raise NoJumpFound("no window exceeded the trailing background rate")
 
 
@@ -214,7 +224,7 @@ def _bootstrap_window(t, period, gate):
     half a gate.
     """
     w = BOOTSTRAP_WINDOW_S
-    while (t < w).sum() < MIN_TAGS_PER_INTERVAL and w < DRIFT_UPDATE_INTERVAL_S:
+    while np.searchsorted(t, w) < MIN_TAGS_PER_INTERVAL and w < DRIFT_UPDATE_INTERVAL_S:
         w *= 2.0
     spacing = gate / (2.0 * w)
     n_side = int(np.ceil(MAX_SKEW_PPM * 1e-6 / spacing))
@@ -222,12 +232,13 @@ def _bootstrap_window(t, period, gate):
     limit = min(1.5 * DRIFT_UPDATE_INTERVAL_S, float(t[-1]))
     ws = 0.0
     while ws <= limit:
-        boot = (t >= ws) & (t < ws + w)
-        if boot.sum() >= MIN_TAGS_PER_INTERVAL:
-            tau0 = float(t[boot].mean())
+        lo, hi = np.searchsorted(t, (ws, ws + w))
+        if hi - lo >= MIN_TAGS_PER_INTERVAL:
+            boot = t[lo:hi]
+            tau0 = float(boot.mean())
             ratio, alpha, phase0, n_in = -1.0, 0.0, 0.0, 0
             for a in candidates:
-                tc = tau0 + (t[boot] - tau0) / (1.0 + a)
+                tc = tau0 + (boot - tau0) / (1.0 + a)
                 cand_phase, cand_ratio, cand_n = _peak_phase(tc, period, gate)
                 if cand_ratio > ratio:
                     ratio, alpha, phase0, n_in = cand_ratio, float(a), cand_phase, cand_n
@@ -242,14 +253,14 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
 
     Uses the pulse period and gate of ``params``. ``stream.times_s`` must
     be ascending, as ``multiplex_two_channel`` and ``TagStream.from_text``
-    produce it.
+    produce it, so every window of it is one slice.
     """
     period, gate = params.pulse_period_s, params.gate_width_s
-    picked = np.flatnonzero(stream.times_s >= start_s)
-    if picked.size < MIN_TAGS_PER_INTERVAL:
+    base = int(np.searchsorted(stream.times_s, start_s))  # stream index of t[0]
+    if stream.n_tags - base < MIN_TAGS_PER_INTERVAL:
         raise LockLost("too few tags after the detected start")
-    t = stream.times_s[picked] - start_s
-    lines = stream.lines[picked].astype(np.uint8)
+    t = stream.times_s[base:] - start_s
+    lines = stream.lines[base:]
     horizon = float(t[-1])
 
     lock_at, w, tau0, alpha, phase0 = _bootstrap_window(t, period, gate)
@@ -257,7 +268,7 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
         # tags before the locked window predate the transmission; their
         # slots would map below the transmitter's record anyway
         first = int(np.searchsorted(t, lock_at))
-        picked, t, lines = picked[first:], t[first:], lines[first:]
+        base, t, lines = base + first, t[first:], lines[first:]
 
     # Pin the skew on geometrically longer baselines so the drift over one
     # tracking interval stays inside a fraction of the gate.
@@ -265,14 +276,15 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     delta = w
     while delta < reach:
         delta = min(delta * 4.0, reach)
-        probe = (t >= lock_at + delta - w) & (t < lock_at + delta)
-        if probe.sum() < MIN_TAGS_PER_INTERVAL:
+        lo, hi = np.searchsorted(t, (lock_at + delta - w, lock_at + delta))
+        if hi - lo < MIN_TAGS_PER_INTERVAL:
             continue
-        tc = tau0 + (t[probe] - tau0) / (1.0 + alpha)
+        probe = t[lo:hi]
+        tc = tau0 + (probe - tau0) / (1.0 + alpha)
         phase1, ratio1, _ = _peak_phase(tc, period, gate)
         if ratio1 < MIN_PEAK_RATIO:
             continue
-        baseline = float(t[probe].mean()) - tau0
+        baseline = float(probe.mean()) - tau0
         alpha += _circ_diff(phase1, phase0, period) / baseline
 
     # Tracking: re-estimate the phase every drift interval, gate with it,
@@ -309,7 +321,7 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
         out_slots.append(slots[kept])
         det = lines[m][kept] + np.where(delayed[kept], 2, 0).astype(np.uint8)
         out_dets.append(det.astype(np.uint8))
-        out_idx.append(picked[m][kept])
+        out_idx.append(base + first + np.flatnonzero(kept))
         resid = (tc - (phase_track - phase0)) % period
         histogram += np.bincount(
             np.minimum((resid / binw).astype(np.int64), nbins - 1), minlength=nbins

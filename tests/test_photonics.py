@@ -364,6 +364,57 @@ def test_bright_multiplex_known_answer(reference_sampler, dead_time_s):
     assert (stream.dropped_collisions, digest.hexdigest()) == BRIGHT_MUX_KNOWN_ANSWERS[dead_time_s]
 
 
+def test_bright_multiplex_ignores_the_order_of_its_events():
+    # the sibling of the test above at the brightest row with 50 ns dead
+    # time: shuffled, time-sorted and segment-reversed inputs all give the
+    # stream of add_background's own order
+    signal, ev, params = bright_events(simulate_detections, "bright-perm")
+    dead = replace(params, dead_time_s=50e-9)
+    want = multiplex_two_channel(ev, dead)
+    assert want.dropped_collisions >= 100
+    n = signal.n_events
+    counts = np.bincount(ev.detectors[n:], minlength=4)
+    ends = n + np.cumsum(counts)
+    segments_reversed = np.concatenate(
+        [np.arange(n)] + [np.arange(lo, hi)[::-1] for lo, hi in zip(ends - counts, ends)]
+    )
+    orders = {
+        "shuffled": np.random.default_rng(9).permutation(ev.n_events),
+        "time-sorted": np.argsort(ev.times_s, kind="stable"),
+        "segment-reversed": segments_reversed,
+    }
+    for label, order in orders.items():
+        assert np.array_equal(np.sort(order), np.arange(ev.n_events)), label
+        got = multiplex_two_channel(
+            DetectionEvents(ev.times_s[order], ev.detectors[order], ev.pulses[order]), dead
+        )
+        assert got.dropped_collisions == want.dropped_collisions, label
+        for name in ("times_s", "lines", "truth_pulses"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (label, name)
+
+
+def test_background_runs_ascend_and_keep_the_raw_draws():
+    # add_background sorts each detector's run of uniform times: the law is
+    # that of the raw draws, which the same seed reproduces here
+    signal, ev, params = bright_events(simulate_detections, "bright-runs", n_pulses=500_000)
+    duration = 0.05 + 500_000 * params.pulse_period_s
+    rng = np_rng(seed("bright-runsb"))
+    counts = rng.poisson(params.background_rate_cps / 2.0 * duration, 4)
+    raw = rng.random(int(counts.sum())) * duration
+    n = signal.n_events
+    for name in ("times_s", "detectors", "pulses"):
+        assert getattr(ev, name)[:n].tobytes() == getattr(signal, name).tobytes(), name
+    assert np.all(ev.pulses[n:] == -1)
+    assert np.array_equal(np.bincount(ev.detectors[n:], minlength=4), counts)
+    assert np.all(np.diff(ev.detectors[n:].astype(np.int64)) >= 0)
+    ends = np.cumsum(counts)
+    for det, (lo, hi) in enumerate(zip(ends - counts, ends)):
+        run = ev.times_s[n + lo:n + hi]
+        assert np.all(ev.detectors[n + lo:n + hi] == det)
+        assert np.all(np.diff(run) >= 0), det
+        assert run.tobytes() == np.sort(raw[lo:hi]).tobytes(), det
+
+
 def test_multiplex_deterministic():
     params = SystemParams(background_rate_cps=10000.0)
     rec = generate_alice_record(100_000, seed("d1"))

@@ -1,6 +1,7 @@
 """Start detection, clock lock, gating and sparse alignment."""
 
 import hashlib
+from bisect import insort
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from qkdsim.sync import (
     START_DETECT_WINDOW,
     _bootstrap_window,
     _gate_assign,
+    _sorted_median,
     _offset_scores,
     detect_start,
     lock_clock,
@@ -157,6 +159,18 @@ def test_detect_start_matches_median_loop_reference(background_cps):
             assert medians[0] == (1, 1.0 / stream.times_s[0])
     if background_cps == 150000.0:
         assert "NoJumpFound" in outcomes
+
+
+def test_running_median_is_np_median():
+    # infinite rates first, so the even-count mean meets inf beside a finite
+    # value; then ties and distinct values in random order
+    rng = np.random.default_rng(19)
+    rest = np.concatenate([rng.random(300) * 1e5, np.repeat(rng.random(5) * 1e5, 20)])
+    values = np.concatenate([np.full(40, np.inf), rng.permutation(rest)])
+    running = []
+    for v in values.tolist():
+        insort(running, v)
+        assert _sorted_median(running) == float(np.median(running)), len(running)
 
 
 def _stream_with_repeated_times(label):
