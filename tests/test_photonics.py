@@ -406,7 +406,6 @@ def test_background_runs_ascend_and_keep_the_raw_draws():
         assert getattr(ev, name)[:n].tobytes() == getattr(signal, name).tobytes(), name
     assert np.all(ev.pulses[n:] == -1)
     assert np.array_equal(np.bincount(ev.detectors[n:], minlength=4), counts)
-    assert np.all(np.diff(ev.detectors[n:].astype(np.int64)) >= 0)
     ends = np.cumsum(counts)
     for det, (lo, hi) in enumerate(zip(ends - counts, ends)):
         run = ev.times_s[n + lo:n + hi]
