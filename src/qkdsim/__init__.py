@@ -27,7 +27,6 @@ from qkdsim.sync import (
 from qkdsim.sifting import ClassicalChannel, SiftedKey, estimate_error, sift
 from qkdsim.reconcile import (
     FactorGraph,
-    Syndrome,
     build_factor_graph,
     compute_syndrome,
     decode,

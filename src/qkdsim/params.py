@@ -10,8 +10,6 @@ FWHM_TO_SIGMA = 1.0 / 2.3548200450309493
 # taken during key exchange with the current hardware.
 MEASURED_CHANNEL_BER = (0.0132, 0.0254, 0.0220, 0.0475)
 
-STATE_ANGLES_DEG = (0, 45, 90, 135)
-
 # Fixed delay that puts detectors 2 and 3 onto the recorder lines of 0 and 1.
 DEMUX_DELAY_S = 40e-9
 

@@ -96,14 +96,12 @@ class TagStream:
         """Write "time_ps<TAB>line" rows, 64-bit picoseconds, strictly increasing.
 
         Sub-picosecond ties are bumped forward by 1 ps; that is the wire
-        format's resolution.
+        format's resolution. Each time becomes max(own, previous + 1), so
+        time - index is a running maximum.
         """
         ps = np.round(self.times_s * 1e12).astype(np.int64)
-        while True:
-            clash = ps[1:] <= ps[:-1]
-            if not clash.any():
-                break
-            ps[1:][clash] = ps[:-1][clash] + 1
+        i = np.arange(ps.size)
+        ps = np.maximum.accumulate(ps - i) + i
         with open(path, "w") as fh:
             for t, line in zip(ps, self.lines):
                 fh.write(f"{t}\t{line}\n")

@@ -20,7 +20,6 @@ import numpy as np
 
 from qkdsim.params import SystemParams
 
-WORKABLE_ERROR_RATE = 0.08
 BACKGROUND_BOUND_CONSTANT = 75.5
 # detection efficiencies of the receiver's weaker and stronger channels
 ETA_LOW = 0.045

@@ -30,7 +30,7 @@ from qkdsim.errors import (
     RateInfeasible,
 )
 from qkdsim.seeds import HashStream, derive_seed
-from qkdsim.sifting import QBER_ABORT_THRESHOLD, ClassicalChannel, log_key_hash, log_syndrome
+from qkdsim.sifting import MSG_KEY_HASH, QBER_ABORT_THRESHOLD, ClassicalChannel, log_syndrome
 
 VARIABLE_DEGREE = 3
 MIN_BLOCK_BITS = 256
@@ -73,18 +73,6 @@ class FactorGraph:
     def adjacency_digest(self) -> bytes:
         canon = np.stack([self.check_index, self.var_index]).astype("<i8").tobytes()
         return hashlib.sha256(canon).digest()
-
-
-@dataclass
-class Syndrome:
-    bits: np.ndarray
-    n: int
-    rate: float
-    seed_fingerprint: bytes
-
-    def __post_init__(self):
-        if self.bits.size and self.bits.max() > 1:
-            raise ValueError("syndrome bits must be binary")
 
 
 def _int64_buffer(values: np.ndarray) -> array:
@@ -175,17 +163,12 @@ def rate_for_error(error_estimate: float, subset_size: int | None = None) -> flo
     return RATE_TABLE[-1][1]
 
 
-def compute_syndrome(key_bits: np.ndarray, graph: FactorGraph) -> Syndrome:
-    """Parity of the key bits on every check."""
+def compute_syndrome(key_bits: np.ndarray, graph: FactorGraph) -> np.ndarray:
+    """Parity of the key bits on every check, one uint8 per check."""
     key_bits = np.asarray(key_bits)
     if key_bits.size != graph.n:
         raise LengthMismatch(f"key has {key_bits.size} bits, graph expects {graph.n}")
-    return Syndrome(
-        bits=_syndrome_of(key_bits, graph),
-        n=graph.n,
-        rate=1.0 - graph.m / graph.n,
-        seed_fingerprint=hashlib.sha256(graph.seed).digest()[:8],
-    )
+    return _syndrome_of(key_bits, graph)
 
 
 def _syndrome_of(bits: np.ndarray, graph: FactorGraph) -> np.ndarray:
@@ -199,7 +182,7 @@ def _syndrome_of(bits: np.ndarray, graph: FactorGraph) -> np.ndarray:
 
 def decode(
     bob_key: np.ndarray,
-    syndrome: Syndrome,
+    syndrome: np.ndarray,
     graph: FactorGraph,
     error_rate: float,
     max_iters: int = 100,
@@ -208,15 +191,18 @@ def decode(
 
     Works on the error pattern e with H e = (syndrome XOR syndrome(bob)),
     channel prior P(e_i = 1) = error_rate, and returns bob_key XOR e_hat
-    once the syndrome matches.
+    once the syndrome matches. ``syndrome`` holds Alice's ``graph.m``
+    check bits, as ``compute_syndrome`` returns them.
     """
     bob_key = np.asarray(bob_key, dtype=np.uint8)
     if bob_key.size != graph.n:
         raise LengthMismatch(f"key has {bob_key.size} bits, graph expects {graph.n}")
+    if np.size(syndrome) != graph.m:
+        raise LengthMismatch(f"syndrome has {np.size(syndrome)} bits, graph has {graph.m} checks")
     if not 0 <= error_rate < 0.5:
         raise ValueError("error rate must lie in [0, 0.5)")
 
-    delta = np.bitwise_xor(syndrome.bits, _syndrome_of(bob_key, graph))
+    delta = np.bitwise_xor(syndrome, _syndrome_of(bob_key, graph))
     if not delta.any():
         return bob_key.copy()
 
@@ -284,7 +270,7 @@ def reconcile_keys(
             b = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
         graph = build_factor_graph(a.size, rate, derive_seed(seed, f"block{i}"))
         syn = compute_syndrome(a, graph)
-        log_syndrome(channel, syn)
+        log_syndrome(channel, graph, syn)
         fixed = decode(b, syn, graph, error_estimate)
         n_syn += graph.m
         corrected.append(fixed[: fixed.size - pad] if pad else fixed)
@@ -292,8 +278,8 @@ def reconcile_keys(
     bob_corrected = np.concatenate(corrected) if corrected else np.empty(0, np.uint8)
     digest_a = key_digest(alice_bits)
     digest_b = key_digest(bob_corrected)
-    log_key_hash(channel, "alice", digest_a)
-    log_key_hash(channel, "bob", digest_b)
+    channel.send("alice", MSG_KEY_HASH, digest_a)
+    channel.send("bob", MSG_KEY_HASH, digest_b)
     if digest_a != digest_b:
         raise HashMismatch("corrected keys differ despite matching syndromes")
     return bob_corrected, n_syn, rate

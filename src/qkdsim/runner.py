@@ -41,6 +41,8 @@ from qkdsim.photonics import (
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
+    state_bases,
+    state_bits,
 )
 from qkdsim.reconcile import reconcile_keys
 from qkdsim.seeds import derive_seed, np_rng
@@ -234,8 +236,8 @@ def run_once(
         chosen = rng.choice(gated.n_events, size=k, replace=False) if k else np.empty(0, int)
         alignment = sparse_align(
             gated.slots[chosen],
-            (gated.detectors[chosen] & 1).astype(np.uint8),
-            (gated.detectors[chosen] >> 1).astype(np.uint8),
+            state_bases(gated.detectors[chosen]),
+            state_bits(gated.detectors[chosen]),
             record,
             search_range=SEARCH_RANGE,
         )

@@ -13,6 +13,7 @@ bit. Message types: 1 basis-announce, 2 match-reply, 3 subset-reveal,
 4 syndrome, 5 PA-seed reference, 6 key-hash.
 """
 
+import hashlib
 import struct
 from dataclasses import dataclass
 
@@ -56,17 +57,15 @@ class ClassicalChannel:
         return sum(len(p) + 5 for _, _, p in self.log)
 
 
-def log_syndrome(channel: ClassicalChannel, syndrome) -> None:
+def log_syndrome(channel: ClassicalChannel, graph, bits: np.ndarray) -> None:
+    """Alice's syndrome of one block under its factor ``graph``: u32 n |
+    f64 rate | u32 m | 8-byte SHA-256 prefix of the graph seed | m bytes."""
     payload = (
-        struct.pack("<IdI", syndrome.n, syndrome.rate, syndrome.bits.size)
-        + syndrome.seed_fingerprint
-        + syndrome.bits.astype(np.uint8).tobytes()
+        struct.pack("<IdI", graph.n, 1.0 - graph.m / graph.n, graph.m)
+        + hashlib.sha256(graph.seed).digest()[:8]
+        + bits.astype(np.uint8).tobytes()
     )
     channel.send("alice", MSG_SYNDROME, payload)
-
-
-def log_key_hash(channel: ClassicalChannel, sender: str, digest: bytes) -> None:
-    channel.send(sender, MSG_KEY_HASH, digest)
 
 
 def log_pa_seed_reference(channel: ClassicalChannel, offset: int, length: int) -> None:
@@ -123,12 +122,13 @@ def sift(
     a_idx = slots + offset
     in_record = (a_idx >= 0) & (a_idx < alice.n_pulses)
     a_states = alice.states[np.clip(a_idx, 0, alice.n_pulses - 1)]
-    basis_match = in_record & (state_bases(a_states) == (dets & 1))
+    bob_bases = state_bases(dets)
+    basis_match = in_record & (state_bases(a_states) == bob_bases)
 
     payload = (
         struct.pack("<I", int(slots.size))
         + slots.astype("<i8").tobytes()
-        + (dets & 1).astype(np.uint8).tobytes()
+        + bob_bases.tobytes()
     )
     channel.send("bob", MSG_BASIS_ANNOUNCE, payload)
 
@@ -140,7 +140,7 @@ def sift(
     kept_slots = slots[matched_keep]
     order = np.argsort(kept_slots, kind="stable")
     kept_slots = kept_slots[order]
-    bob_bits = (dets[matched_keep][order] >> 1).astype(np.uint8)
+    bob_bits = state_bits(dets[matched_keep][order])
     alice_bits = state_bits(a_states[matched_keep][order])
 
     channel.send(

@@ -73,8 +73,6 @@ class AlignmentResult:
     match_score: float
     runner_up_score: float
     subset_slots: np.ndarray
-    subset_bases: np.ndarray
-    subset_bits: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +159,15 @@ def _circ_diff(a, b, period):
     return (a - b + period / 2.0) % period - period / 2.0
 
 
+def _phase_histogram(phases: np.ndarray, period: float, gate: float):
+    """Counts of phases in [0, period) over bins about a quarter gate wide;
+    returns (counts, bin width)."""
+    nbins = max(int(round(period / (gate / 4.0))), 8)
+    binw = period / nbins
+    counts = np.bincount(np.minimum((phases / binw).astype(np.int64), nbins - 1), minlength=nbins)
+    return counts, binw
+
+
 def _rolling_window_sum(hist: np.ndarray, width_bins: int) -> np.ndarray:
     padded = np.concatenate([hist, hist[:width_bins]])
     c = np.concatenate([[0], np.cumsum(padded)])
@@ -175,12 +182,9 @@ def _peak_phase(times: np.ndarray, period: float, gate: float):
     winner with a circular mean. Returns (phase, peak-to-uniform ratio,
     tags in the two windows).
     """
-    nbins = max(int(round(period / (gate / 4.0))), 8)
-    binw = period / nbins
     phases = times % period
-    hist = np.bincount(
-        np.minimum((phases / binw).astype(np.int64), nbins - 1), minlength=nbins
-    )
+    hist, binw = _phase_histogram(phases, period, gate)
+    nbins = hist.size
     wb = max(int(round(gate / binw)), 1)
     window = _rolling_window_sum(hist, wb)
     shift = int(round(DEMUX_DELAY_S / binw)) % nbins
@@ -199,19 +203,6 @@ def _peak_phase(times: np.ndarray, period: float, gate: float):
     covered = min(2.0 * wb / nbins, 1.0)
     expected_uniform = max(times.size * covered, 1e-9)
     return phase, resid.size / expected_uniform, resid.size
-
-
-def _gate_assign(times: np.ndarray, phase_track: float, period: float, gate: float):
-    """Split tags into direct/delayed gate windows and assign pulse slots."""
-    rel = times - phase_track
-    ph = rel % period
-    direct = np.minimum(ph, period - ph) <= gate / 2.0
-    ph_del = (rel - DEMUX_DELAY_S) % period
-    delayed = (np.minimum(ph_del, period - ph_del) <= gate / 2.0) & ~direct
-    slots = np.where(
-        delayed, np.round((rel - DEMUX_DELAY_S) / period), np.round(rel / period)
-    ).astype(np.int64)
-    return direct, delayed, slots
 
 
 def _bootstrap_window(t, period, gate):
@@ -289,9 +280,7 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
 
     # Tracking: re-estimate the phase every drift interval, gate with it,
     # and keep the unwrapped phase series for the final period refit.
-    nbins = max(int(round(period / (gate / 4.0))), 8)
-    histogram = np.zeros(nbins, dtype=np.int64)
-    binw = period / nbins
+    histogram, binw = _phase_histogram(np.empty(0), period, gate)
     phase_track = phase0
     track_times, track_phases = [], []
     out_slots, out_dets, out_idx = [], [], []
@@ -316,16 +305,17 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
             track_times.append(float(tc.mean()))
             track_phases.append(phase_track)
         # tags with few neighbours coast on the last phase estimate
-        direct, delayed, slots = _gate_assign(tc, phase_track, period, gate)
-        kept = direct | delayed
-        out_slots.append(slots[kept])
-        det = lines[m][kept] + np.where(delayed[kept], 2, 0).astype(np.uint8)
-        out_dets.append(det.astype(np.uint8))
-        out_idx.append(base + first + np.flatnonzero(kept))
-        resid = (tc - (phase_track - phase0)) % period
-        histogram += np.bincount(
-            np.minimum((resid / binw).astype(np.int64), nbins - 1), minlength=nbins
-        )
+        # a tag within half a gate of the direct window or of the window one
+        # demux delay later is kept; direct wins a tie
+        rel = tc - phase_track
+        direct = np.abs(_circ_diff(rel, 0.0, period)) <= gate / 2.0
+        delayed = ~direct & (np.abs(_circ_diff(rel, DEMUX_DELAY_S, period)) <= gate / 2.0)
+        kept = np.flatnonzero(direct | delayed)
+        delayed = delayed[kept]
+        out_slots.append(np.round((rel[kept] - DEMUX_DELAY_S * delayed) / period).astype(np.int64))
+        out_dets.append(lines[m][kept] | delayed.view(np.uint8) << 1)
+        out_idx.append(base + first + kept)
+        histogram += _phase_histogram((tc - (phase_track - phase0)) % period, period, gate)[0]
 
     slots = np.concatenate(out_slots) if out_slots else np.empty(0, np.int64)
     dets = np.concatenate(out_dets) if out_dets else np.empty(0, np.uint8)
@@ -462,6 +452,4 @@ def sparse_align(
         match_score=best_score,
         runner_up_score=runner,
         subset_slots=subset_slots,
-        subset_bases=subset_bases,
-        subset_bits=subset_bits,
     )

@@ -442,6 +442,41 @@ def test_tagstream_text_roundtrip(tmp_path):
     assert np.max(np.abs(loaded.times_s - stream.times_s)) < 2e-12
 
 
+def _to_text_reference(stream, path):
+    """The tie-bump loop: raise every clash to its predecessor + 1 ps
+    until the times strictly increase."""
+    ps = np.round(stream.times_s * 1e12).astype(np.int64)
+    while True:
+        clash = ps[1:] <= ps[:-1]
+        if not clash.any():
+            break
+        ps[1:][clash] = ps[:-1][clash] + 1
+    with open(path, "w") as fh:
+        for t, line in zip(ps, stream.lines):
+            fh.write(f"{t}\t{line}\n")
+
+
+@pytest.mark.parametrize(
+    "ps",
+    [
+        [],
+        [5],
+        [5, 5, 5, 6, 6, 9, 9, 9, 9, 10, 20],  # runs that spill into the next value
+        [0] * 3000 + [1500, 2999, 3000, 3000, 4000],  # one long run swallowing later times
+        [7, 7, 8, 8, 8, 8, 9, 30, 30, 31],
+    ],
+)
+def test_tagstream_text_matches_tie_bump_loop(tmp_path, ps):
+    times = np.asarray(ps, dtype=np.float64) * 1e-12
+    # sub-picosecond jitter rounds onto the same picosecond
+    times += np.resize([0.0, 0.2e-12, -0.3e-12, 0.4e-12], times.size)
+    lines = (np.arange(times.size) % 2).astype(np.uint8)
+    stream = TagStream(times_s=times, lines=lines)
+    stream.to_text(tmp_path / "fast.txt")
+    _to_text_reference(stream, tmp_path / "loop.txt")
+    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+
+
 def test_ground_truth_labels_partition_stream():
     params = SystemParams(background_rate_cps=8000.0)
     rec = generate_alice_record(200_000, seed("truth"))

@@ -226,7 +226,8 @@ def test_rate_table_lookup():
 def test_syndrome_of_zero_key_is_zero():
     g = build_factor_graph(512, 0.5, SEED)
     syn = compute_syndrome(np.zeros(512, dtype=np.uint8), g)
-    assert not syn.bits.any()
+    assert syn.dtype == np.uint8 and syn.size == g.m
+    assert not syn.any()
 
 
 def test_syndrome_single_flip_touches_adjacent_checks():
@@ -235,7 +236,7 @@ def test_syndrome_single_flip_touches_adjacent_checks():
     key[77] = 1
     syn = compute_syndrome(key, g)
     adjacent = np.sort(g.check_index[g.var_index == 77])
-    assert np.array_equal(np.flatnonzero(syn.bits), adjacent)
+    assert np.array_equal(np.flatnonzero(syn), adjacent)
 
 
 def test_syndrome_linearity():
@@ -243,9 +244,9 @@ def test_syndrome_linearity():
     rng = np.random.default_rng(3)
     a = rng.integers(0, 2, 512).astype(np.uint8)
     b = rng.integers(0, 2, 512).astype(np.uint8)
-    sa = compute_syndrome(a, g).bits
-    sb = compute_syndrome(b, g).bits
-    sab = compute_syndrome(a ^ b, g).bits
+    sa = compute_syndrome(a, g)
+    sb = compute_syndrome(b, g)
+    sab = compute_syndrome(a ^ b, g)
     assert np.array_equal(sab, sa ^ sb)
 
 
@@ -253,6 +254,15 @@ def test_syndrome_length_mismatch():
     g = build_factor_graph(512, 0.5, SEED)
     with pytest.raises(LengthMismatch):
         compute_syndrome(np.zeros(511, dtype=np.uint8), g)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_decode_rejects_a_syndrome_of_the_wrong_length(delta):
+    g = build_factor_graph(512, 0.5, SEED)
+    key = np.zeros(512, dtype=np.uint8)
+    syn = np.zeros(g.m + delta, dtype=np.uint8)
+    with pytest.raises(LengthMismatch):
+        decode(key, syn, g, 0.02)
 
 
 def test_decode_error_free_returns_input():

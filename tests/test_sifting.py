@@ -44,8 +44,6 @@ def manual_alignment(offset, slots=()):
         match_score=1.0,
         runner_up_score=0.0,
         subset_slots=slots,
-        subset_bases=np.zeros(slots.size, np.uint8),
-        subset_bits=np.zeros(slots.size, np.uint8),
     )
 
 

@@ -24,7 +24,6 @@ from qkdsim.sync import (
     START_DETECT_RATIO,
     START_DETECT_WINDOW,
     _bootstrap_window,
-    _gate_assign,
     _sorted_median,
     _offset_scores,
     detect_start,
@@ -341,13 +340,6 @@ def test_lock_clock_lost_when_signal_stops():
     stream = multiplex_two_channel(events, replace(params, clock_skew_ppm=0.0))
     with pytest.raises(LockLost):
         lock_clock(stream, 0.0, params)
-
-
-def test_gate_assign_degenerate_full_period_keeps_everything():
-    rng = np.random.default_rng(3)
-    times = np.sort(rng.random(5000) * 1e-3)
-    direct, delayed, _ = _gate_assign(times, 0.0, 200e-9, 200e-9)
-    assert np.all(direct | delayed)
 
 
 @pytest.mark.parametrize("background_cps", [0.0, 20000.0])
