@@ -121,12 +121,26 @@ class TagStream:
         return cls(times_s=times.astype(np.float64), lines=np.asarray(lines, dtype=np.uint8))
 
 
+def _uniform_2bit(rng: np.random.Generator, n: int) -> np.ndarray:
+    """``rng.integers(0, 4, n, dtype=np.uint8)`` drawn in bulk: the same values,
+    and the same generator state afterwards.
+
+    numpy draws a bounded uint8 from the bytes of successive 32-bit words,
+    lowest byte first, and keeps ``(byte * 4) >> 8`` of each; for range 4
+    it never rejects a byte. So the draws are the top two bits of the
+    little-endian bytes of ceil(n / 4) words, shifted in place.
+    """
+    words = rng.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32)
+    draws = words.astype("<u4", copy=False).view(np.uint8)[:n]
+    draws >>= 6
+    return draws
+
+
 def generate_alice_record(n_pulses: int, seed: bytes, start_time_s: float = 0.0) -> AliceRecord:
     """Draw a uniformly random state per pulse, reproducible from the seed."""
     if n_pulses <= 0:
         raise ValueError("need at least one pulse")
-    states = np_rng(seed).integers(0, 4, size=n_pulses, dtype=np.uint8)
-    return AliceRecord(states=states, start_time_s=start_time_s)
+    return AliceRecord(states=_uniform_2bit(np_rng(seed), n_pulses), start_time_s=start_time_s)
 
 
 def simulate_detections(
@@ -156,7 +170,7 @@ def simulate_detections(
     pulse_idx = np.sort(rng.integers(0, n, size=k, dtype=np.int64))
 
     states = record.states[pulse_idx]
-    port = rng.integers(0, 4, size=k, dtype=np.uint8)  # grating output port
+    port = _uniform_2bit(rng, k)  # grating output port
     matched = port == states
     conjugate = ((port ^ states) & 1) == 1
     registers = matched | (conjugate & (rng.random(k) < 0.5))

@@ -17,7 +17,6 @@ regular column-weight-3, near-regular row-weight code, deterministic in
 
 import hashlib
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,11 +74,50 @@ class FactorGraph:
         return hashlib.sha256(canon).digest()
 
 
-def _int64_buffer(values: np.ndarray) -> array:
-    """The values as an ``array("q")``, copied in one block."""
-    buf = array("q")
-    buf.frombytes(memoryview(np.ascontiguousarray(values, dtype=np.int64)).cast("B"))
-    return buf
+def _shuffled_positions(draws: np.ndarray) -> np.ndarray:
+    """The back-to-front Fisher-Yates shuffle of positions 0..N-1, without
+    the swap loop.
+
+    ``draws`` holds j_i for the steps i = N-1, ..., 1 in that order; step i
+    swaps positions i and j_i <= i. Entry q of the result is the starting
+    position of the value that the swap loop leaves at position q.
+
+    The steps run from N-1 down, so a step with a larger index ran earlier.
+    Position i is final after step i and receives what position j_i held
+    just before it: what the last step to write there moved, which is the
+    smallest s > i with j_s = j_i, or j_i's own value if there is none.
+    Step s moved what position s held just before it: by the same rule,
+    what the smallest step with j = s moved there (not s itself: every
+    step reached this way has j_s < s), or s's own value. So every value
+    ends a chain of links to steps that ran earlier, and pointer doubling
+    resolves all the chains at once, as in list ranking (Wyllie, 1979).
+    """
+    n = draws.size + 1
+    j = np.empty(n, dtype=np.int32)  # 3n < 2^31
+    j[0] = 0  # a no-op step 0 lets position 0 follow the same rule
+    j[1:] = draws[::-1]
+    # The steps grouped by j, ascending within a group: two stable 16-bit
+    # radix passes.
+    order = np.argsort((j & 0xFFFF).astype(np.uint16), kind="stable")
+    order = order[np.argsort((j[order] >> 16).astype(np.uint16), kind="stable")]
+    order = order.astype(np.int32)
+    grouped = j[order]
+    same = grouped[1:] == grouped[:-1]
+    later = np.full(n, -1, dtype=np.int32)  # the next step with the same j
+    later[order[:-1][same]] = order[1:][same]
+    # Step s links to the smallest step with j = s, or to itself when there
+    # is none (or when that step is s itself, which no chain reaches).
+    ptr = np.arange(n, dtype=np.int32)
+    opens = np.concatenate([[True], ~same])
+    ptr[grouped[opens]] = order[opens]
+    del order, grouped, same, opens
+    while True:
+        jumped = ptr[ptr]
+        if np.array_equal(jumped, ptr):
+            break
+        ptr = jumped
+    # ptr[later] at later = -1 reads an entry that where() discards
+    return np.where(later >= 0, ptr[later], j)
 
 
 def build_factor_graph(n: int, target_rate: float, seed: bytes) -> FactorGraph:
@@ -93,22 +131,17 @@ def build_factor_graph(n: int, target_rate: float, seed: bytes) -> FactorGraph:
         raise RateInfeasible(f"rate {target_rate} gives {m} checks for {n} bits")
 
     # Fisher-Yates over edge slots; below_many gives exactly the draws of
-    # successive stream.below(i + 1) calls for i = 3n - 1, ..., 1. The swap
-    # loop runs over fixed-width int64 buffers, so no per-edge int objects
-    # outlive a single swap.
+    # successive stream.below(i + 1) calls for i = 3n - 1, ..., 1. Slot q
+    # starts out holding variable q // 3.
     n_edges = VARIABLE_DEGREE * n
-    draws = _int64_buffer(HashStream(seed).below_many(np.arange(n_edges, 1, -1)))
-    slots = _int64_buffer(np.repeat(np.arange(n), VARIABLE_DEGREE))
-    for i, j in zip(range(n_edges - 1, 0, -1), draws):
-        slots[i], slots[j] = slots[j], slots[i]
-    del draws
+    positions = _shuffled_positions(HashStream(seed).below_many(np.arange(n_edges, 1, -1)))
 
     # Edge (check c, variable v) is the key c * n + v. A position whose key
     # already occurred earlier in the same check is a duplicate.
     bounds = (np.arange(m + 1, dtype=np.int64) * n_edges) // m
     keys = np.repeat(np.arange(m, dtype=np.int64), np.diff(bounds)) * n
-    keys += np.frombuffer(slots, dtype=np.int64)
-    del slots
+    keys += positions // VARIABLE_DEGREE
+    del positions
     firsts, first_pos = np.unique(keys, return_index=True)
     is_dup = np.ones(n_edges, dtype=bool)
     is_dup[first_pos] = False

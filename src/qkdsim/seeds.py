@@ -45,7 +45,7 @@ class HashStream:
     def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
             raise ValueError("HashStream seed must be exactly 32 bytes")
-        self._seed = seed
+        self._prefix = hashlib.sha256(seed)  # the seed hashed once, copied per block
         self._counter = 0
         self._buf = bytearray()
 
@@ -56,10 +56,11 @@ class HashStream:
             return
         first = self._counter
         self._counter += -(-short // 32)
-        self._buf += b"".join(
-            hashlib.sha256(self._seed + k.to_bytes(8, "big")).digest()
-            for k in range(first, self._counter)
-        )
+        copy = self._prefix.copy
+        for k in range(first, self._counter):
+            h = copy()
+            h.update(k.to_bytes(8, "big"))
+            self._buf += h.digest()
 
     def take(self, n: int) -> bytes:
         self._fill(n)

@@ -20,6 +20,7 @@ is recovered from the tag stream itself in three steps.
 """
 
 import csv
+import math
 from bisect import insort
 from dataclasses import dataclass
 
@@ -159,13 +160,18 @@ def _circ_diff(a, b, period):
     return (a - b + period / 2.0) % period - period / 2.0
 
 
-def _phase_histogram(phases: np.ndarray, period: float, gate: float):
-    """Counts of phases in [0, period) over bins about a quarter gate wide;
-    returns (counts, bin width)."""
+def _phase_bins(phases: np.ndarray, period: float, gate: float):
+    """Bin of each phase in [0, period), over bins about a quarter gate wide;
+    returns (bins, bin count, bin width)."""
     nbins = max(int(round(period / (gate / 4.0))), 8)
     binw = period / nbins
-    counts = np.bincount(np.minimum((phases / binw).astype(np.int64), nbins - 1), minlength=nbins)
-    return counts, binw
+    return np.minimum((phases / binw).astype(np.int64), nbins - 1), nbins, binw
+
+
+def _phase_histogram(phases: np.ndarray, period: float, gate: float):
+    """Counts of phases over ``_phase_bins``; returns (counts, bin width)."""
+    bins, nbins, binw = _phase_bins(phases, period, gate)
+    return np.bincount(bins, minlength=nbins), binw
 
 
 def _rolling_window_sum(hist: np.ndarray, width_bins: int) -> np.ndarray:
@@ -183,17 +189,27 @@ def _peak_phase(times: np.ndarray, period: float, gate: float):
     tags in the two windows).
     """
     phases = times % period
-    hist, binw = _phase_histogram(phases, period, gate)
-    nbins = hist.size
+    bins, nbins, binw = _phase_bins(phases, period, gate)
+    hist = np.bincount(bins, minlength=nbins)
     wb = max(int(round(gate / binw)), 1)
     window = _rolling_window_sum(hist, wb)
     shift = int(round(DEMUX_DELAY_S / binw)) % nbins
     score = window + np.roll(window, -shift)
     b = int(np.argmax(score))
     coarse = (b + wb / 2.0) * binw
+    delayed_at = (coarse + DEMUX_DELAY_S) % period
 
-    d_direct = _circ_diff(phases, coarse, period)
-    d_delayed = _circ_diff(phases, (coarse + DEMUX_DELAY_S) % period, period)
+    # Only a tag whose bin touches a window can lie in it; one bin of margin
+    # on each side absorbs rounding. The residuals keep tag order, so their
+    # mean is the one over all tags.
+    near = np.zeros(nbins, dtype=bool)
+    for center in (coarse, delayed_at):
+        lo = math.floor((center - gate / 2.0) / binw) - 1
+        hi = math.floor((center + gate / 2.0) / binw) + 1
+        near[np.arange(lo, hi + 1) % nbins] = True
+    near_phases = phases[near[bins]]
+    d_direct = _circ_diff(near_phases, coarse, period)
+    d_delayed = _circ_diff(near_phases, delayed_at, period)
     in_direct = np.abs(d_direct) <= gate / 2.0
     in_delayed = np.abs(d_delayed) <= gate / 2.0
     resid = np.concatenate([d_direct[in_direct], d_delayed[in_delayed]])
@@ -308,8 +324,12 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
         # a tag within half a gate of the direct window or of the window one
         # demux delay later is kept; direct wins a tie
         rel = tc - phase_track
-        direct = np.abs(_circ_diff(rel, 0.0, period)) <= gate / 2.0
-        delayed = ~direct & (np.abs(_circ_diff(rel, DEMUX_DELAY_S, period)) <= gate / 2.0)
+        x = _circ_diff(rel, 0.0, period)
+        direct = np.abs(x) <= gate / 2.0
+        # x lies in [-period/2, period/2), so |x - 40 ns| is under one period
+        # and its circular distance is the nearer of it and its complement
+        y = np.abs(x - DEMUX_DELAY_S)
+        delayed = ~direct & (np.minimum(y, period - y) <= gate / 2.0)
         kept = np.flatnonzero(direct | delayed)
         delayed = delayed[kept]
         out_slots.append(np.round((rel[kept] - DEMUX_DELAY_S * delayed) / period).astype(np.int64))

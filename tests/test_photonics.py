@@ -11,6 +11,7 @@ from qkdsim.photonics import (
     DetectionEvents,
     _keep_after_dead_time,
     TagStream,
+    _uniform_2bit,
     add_background,
     generate_alice_record,
     multiplex_two_channel,
@@ -51,6 +52,41 @@ def test_alice_state_frequencies_uniform():
     assert np.all(np.abs(freqs - 0.25) < 0.002)
     chi2 = ((counts - n / 4) ** 2 / (n / 4)).sum()
     assert chi2 < 11.34  # chi-square 99th percentile, 3 dof
+
+
+# Recorded before the states were drawn from 32-bit words: n -> SHA-256 of
+# generate_alice_record(n, seed("record-known-answer")).states
+RECORD_KNOWN_ANSWERS = {
+    1: "084fed08b978af4d7d196a7446a86b58009e636b611db16211b65a9aadff29c5",
+    2: "d4ea3fc5537ce615543ea44f074bff451fb6c9749e9e8692c111f7070b4780c7",
+    3: "62cb1e4990546b2d9a29fd77d7162c74f30ce709f9fff5f341935c72e4ad2dca",
+    4: "f4a1f368908311763fa2bb8141c0615019783aa727e077441117c83d0c3c6816",
+    1001: "55f0b05b9482569a60dbca40073a0999d0fca52227b2c072d5c99a08b216b792",
+    1_000_003: "c6cc08119bade3075439763f898aba71d2a9b11774945141bdc7f0159005a664",
+}
+
+
+@pytest.mark.parametrize("n", sorted(RECORD_KNOWN_ANSWERS))
+def test_alice_record_known_answer(n):
+    states = generate_alice_record(n, seed("record-known-answer")).states
+    assert states.dtype == np.uint8
+    assert hashlib.sha256(states.tobytes()).hexdigest() == RECORD_KNOWN_ANSWERS[n]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 1000, 1001, 1002, 1003, 100_000, 100_001])
+def test_uniform_2bit_equals_bounded_uint8_draws(n):
+    # every n mod 4, so the last word is used in full or in part
+    rng, ref = np_rng(seed(f"2bit{n}")), np_rng(seed(f"2bit{n}"))
+    got = _uniform_2bit(rng, n)
+    want = ref.integers(0, 4, size=n, dtype=np.uint8)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == want.tobytes()
+    # the generator, including its buffered half word, stands where the
+    # reference left it
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.random() == ref.random()
+    assert rng.integers(0, 2**32, 3, dtype=np.uint32).tolist() == ref.integers(
+        0, 2**32, 3, dtype=np.uint32).tolist()
 
 
 def test_simulate_no_photons_gives_no_signal():

@@ -111,6 +111,54 @@ def _reference_build_factor_graph(n, target_rate, seed, refill_hits=None):
     return check_index, var_index, ptr
 
 
+def _reference_shuffle(draws):
+    """The swap loop: step i = N-1, ..., 1 swaps positions i and draws[N-1-i]."""
+    perm = list(range(len(draws) + 1))
+    for i, j in zip(range(len(perm) - 1, 0, -1), draws):
+        perm[i], perm[j] = perm[j], perm[i]
+    return perm
+
+
+def _uniform_draws(rng, n):
+    """A draw in [0, i] for each step i = n-1, ..., 1."""
+    return (rng.random(n - 1) * np.arange(n, 1, -1)).astype(np.int64)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 257, 1000, 12_001, 65_536, 100_000])
+def test_shuffle_matches_the_swap_loop(n):
+    rng = np.random.default_rng(n)
+    for _ in range(3 if n < 10_000 else 1):
+        draws = _uniform_draws(rng, n)
+        got = rec._shuffled_positions(draws)
+        assert got.tolist() == _reference_shuffle(draws.tolist())
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 100, 3000])
+def test_shuffle_matches_the_swap_loop_on_repeated_draws(n):
+    steps = np.arange(n - 1, 0, -1)
+    rng = np.random.default_rng(7 * n)
+    cases = [
+        np.zeros(n - 1, dtype=np.int64),  # every step swaps with position 0
+        np.minimum(steps, 2),  # three targets shared by all steps
+        steps // 2,  # pairs of steps share a target
+        steps,  # every step keeps its own value
+        np.minimum(steps, rng.integers(0, 4, n - 1)),
+    ]
+    for draws in cases:
+        got = rec._shuffled_positions(draws)
+        assert got.tolist() == _reference_shuffle(draws.tolist())
+    assert rec._shuffled_positions(steps).tolist() == list(range(n))
+
+
+@pytest.mark.parametrize("n", [3, 4, 1000])
+def test_shuffle_matches_the_swap_loop_when_first_and_last_steps_stay(n):
+    # j_i = i at the first step (i = N-1) and at the last (i = 1)
+    draws = _uniform_draws(np.random.default_rng(n + 1), n)
+    draws[0], draws[-1] = n - 1, 1
+    got = rec._shuffled_positions(draws)
+    assert got.tolist() == _reference_shuffle(draws.tolist())
+
+
 def test_graph_deterministic():
     a = build_factor_graph(1024, 0.5, SEED)
     b = build_factor_graph(1024, 0.5, SEED)
@@ -171,8 +219,8 @@ def test_graph_matches_reference_when_refills_collide(n, label):
 
 
 def test_graph_build_memory_stays_small():
-    # about 11 MB without per-edge Python objects; per-edge lists and an edge
-    # set take the same build past 38 MB
+    # about 10.5 MB without per-edge Python objects; per-edge lists and an
+    # edge set take the same build past 38 MB
     build_factor_graph(1024, 0.6, SEED)  # first-call allocations stay out of the peak
     tracemalloc.start()
     try:

@@ -1,5 +1,7 @@
 """HashStream: the counter-mode byte stream both parties expand from shared seeds."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,38 @@ NEXT_8_HEX = "54821496af525d59"
 
 def test_blocks_known_answer():
     assert HashStream(KA_SEED).take(64).hex() == BLOCKS_0_1_HEX
+
+
+def _blocks(seed, first, last):
+    """Blocks first..last of the contract, each hashed from scratch."""
+    return b"".join(
+        hashlib.sha256(seed + k.to_bytes(8, "big")).digest() for k in range(first, last + 1)
+    )
+
+
+def test_stream_is_sha256_of_seed_and_counter():
+    seed = derive_seed(KA_SEED, "counter")
+    assert HashStream(seed).take(301 * 32) == _blocks(seed, 0, 300)
+
+
+def test_fill_from_mid_block_continues_the_counter():
+    # after take(3) the buffer holds 29 bytes of block 0, so the next fill
+    # starts in the middle of a block
+    seed = derive_seed(KA_SEED, "mid-block")
+    stream = HashStream(seed)
+    assert stream.take(3) == _blocks(seed, 0, 0)[:3]
+    assert stream.take(300 * 32) == _blocks(seed, 0, 300)[3 : 3 + 300 * 32]
+
+
+@pytest.mark.parametrize("lead", [1, 3, 33])
+def test_below_many_after_an_odd_length_take(lead):
+    seed = derive_seed(KA_SEED, f"odd{lead}")
+    bounds = np.arange(500, 1, -1)
+    values, after = _per_draw(seed, bounds, lead)
+    stream = HashStream(seed)
+    stream.take(lead)
+    assert stream.below_many(bounds).tolist() == values
+    assert stream.take(40) == after
 
 
 def test_take_is_position_independent_of_call_sizes():
