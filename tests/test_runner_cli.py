@@ -8,7 +8,7 @@ import pytest
 
 from qkdsim import cli, runner
 from qkdsim.cli import load_config, main
-from qkdsim.otp_store import OtpStore
+from qkdsim.otp_store import DEFAULT_LEDGER_CAPACITY, HEADER_SIZE, LEDGER_ENTRY_SIZE, OtpStore
 from qkdsim.params import SystemParams
 from qkdsim.runner import (
     REPORT_COLUMNS,
@@ -37,6 +37,21 @@ RUN_CSV_SHA256 = (
 )
 PHASE_HIST_SHA256 = (
     "4b22162d9e6f34623247807802ea4b16755ee854b58beb76884ab654cfd5c360"
+)
+# The store-backed sweep: the CSV of each of two sweeps over one pad
+# store, and the store's header plus pad region after each (the ledger
+# between them holds wall-clock timestamps). The first sweep bootstraps
+# the pad from the master seed, the second reopens it.
+STORE_SWEEP_CSV_SHA256 = (
+    "78279f2f727e101016169fd2b8049e01431353449813399d11e2ed441bef8399"
+)
+STORE_AFTER_SWEEP_SHA256 = (
+    "3f386ed26d9be88d489d8929c01cab3703906b98c83c53edf18be1547bae2668",
+    "8c2869b5f7024aa10998acd8add7ed6deb57ad0d7648dbfc8c0e95095d662e88",
+)
+# The whole file `qkd-sim otp init --size 512 --seed aa` writes.
+OTP_INIT_SHA256 = (
+    "00775bc9ec7a551203ecbd39ca6a4d7002ac56c342133c6d79cf1f96e33179c0"
 )
 
 
@@ -177,6 +192,27 @@ def test_sweep_csv_byte_identical_across_runs(tmp_path):
         outs.append((tmp_path / name).read_bytes())
     assert outs[0] == outs[1]
     assert hashlib.sha256(outs[0]).hexdigest() == SWEEP_CSV_SHA256
+
+
+def test_store_backed_sweep_matches_known_answers_and_resumes(tmp_path):
+    pad = tmp_path / "pad.otp"
+    ledger_end = HEADER_SIZE + DEFAULT_LEDGER_CAPACITY * LEDGER_ENTRY_SIZE
+    for i, store_sha256 in enumerate(STORE_AFTER_SWEEP_SHA256):
+        out = tmp_path / f"sweep{i}.csv"
+        cfg = RunConfig(
+            duration_s=0.3,
+            master_seed=SEED,
+            axis_values=(0.0, 25000.0),
+            out_path=str(out),
+            otp_path=str(pad),
+        )
+        reports = sweep_background(cfg)
+        assert all(r.succeeded for r in reports)
+        assert _sha256(out) == STORE_SWEEP_CSV_SHA256
+        raw = pad.read_bytes()
+        assert hashlib.sha256(raw[:HEADER_SIZE] + raw[ledger_end:]).hexdigest() == store_sha256
+        with OtpStore(pad) as store:  # each sweep continues from the consumed offset
+            assert store.consumed_offset == (i + 1) * 2 * runner.SESSION_PAD_COST
 
 
 def test_sweep_gate_best_gate_column(tmp_path):
@@ -410,6 +446,7 @@ def test_cli_sweep_and_config(tmp_path, capsys):
 def test_cli_otp_subcommands(tmp_path, capsys):
     path = tmp_path / "pad.otp"
     assert main(["otp", "init", "--otp", str(path), "--size", "512", "--seed", "aa"]) == 0
+    assert _sha256(path) == OTP_INIT_SHA256
     assert main(["otp", "status", "--otp", str(path)]) == 0
     out = capsys.readouterr().out
     assert "512 pad bytes" in out
