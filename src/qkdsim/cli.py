@@ -8,7 +8,8 @@
 A config file (--config, line-oriented key=value, '#' comments) supplies
 defaults for duration, reps, seed, out, otp and any SystemParams field,
 with base_ber_per_channel as four comma-separated floats. Explicit flags
-win, and any other key is an error.
+win, any other key is an error, and so is a value that does not parse,
+also one that a flag overrides.
 """
 
 import argparse
@@ -17,11 +18,36 @@ import sys
 
 from qkdsim.otp_store import OtpStore
 from qkdsim.params import SystemParams
-from qkdsim.runner import RunConfig, open_outputs, run_once, sweep_background, sweep_gate
-from qkdsim.seeds import np_rng, parse_seed
+from qkdsim.runner import (
+    PAD_BYTES,
+    RunConfig,
+    open_outputs,
+    run_once,
+    seeded_store,
+    sweep_background,
+    sweep_gate,
+)
+from qkdsim.seeds import parse_seed
 
-_PARAM_FIELDS = {f.name for f in dataclasses.fields(SystemParams)}
-_CONFIG_KEYS = _PARAM_FIELDS | {"duration", "reps", "seed", "out", "otp"}
+
+def _parse_values(text: str):
+    return tuple(float(v) for v in text.split(",") if v.strip())
+
+
+# Each config key's parser: a SystemParams field by its declared type, and
+# the run settings, which go to the RunConfig fields named here.
+_PARSERS = {
+    f.name: _parse_values if f.type is tuple else f.type
+    for f in dataclasses.fields(SystemParams)
+}
+_RUN_FIELDS = {
+    "duration": "duration_s",
+    "reps": "repetitions",
+    "seed": "master_seed",
+    "out": "out_path",
+    "otp": "otp_path",
+}
+_PARSERS.update(duration=float, reps=int, seed=parse_seed, out=str, otp=str)
 
 
 def load_config(path) -> dict:
@@ -37,29 +63,10 @@ def load_config(path) -> dict:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key = key.strip()
-            if key not in _CONFIG_KEYS:
+            if key not in _PARSERS:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             values[key] = val.strip()
     return values
-
-
-def _parse_values(text: str):
-    return tuple(float(v) for v in text.split(",") if v.strip())
-
-
-_PARAM_CASTS = {"safety_margin_bits": int, "base_ber_per_channel": _parse_values}
-
-
-def _build_params(args, file_cfg: dict) -> SystemParams:
-    overrides = {}
-    for name in _PARAM_FIELDS:
-        if name in file_cfg:
-            overrides[name] = _PARAM_CASTS.get(name, float)(file_cfg[name])
-    if args.background is not None:
-        overrides["background_rate_cps"] = args.background
-    if args.gate_ns is not None:
-        overrides["gate_width_s"] = args.gate_ns * 1e-9
-    return SystemParams(**overrides)
 
 
 def _add_common(parser):
@@ -75,28 +82,29 @@ def _add_common(parser):
 
 
 def _make_config(args) -> RunConfig:
+    """Each setting from its flag, else the config file, else the RunConfig
+    or SystemParams default. Every value the file gives is parsed."""
     file_cfg = load_config(args.config) if args.config else {}
-
-    def pick(flag_value, key, cast, default):
-        if flag_value is not None:
-            return flag_value
-        if key in file_cfg:
-            return cast(file_cfg[key])
-        return default
-
-    seed_text = pick(args.seed, "seed", str, "00")
+    flags = {
+        "duration": args.duration,
+        "reps": args.reps,
+        "seed": args.seed,
+        "out": args.out,
+        "otp": args.otp,
+        "background_rate_cps": args.background,
+        "gate_width_s": None if args.gate_ns is None else args.gate_ns * 1e-9,
+    }
+    given = [*file_cfg.items(), *((key, v) for key, v in flags.items() if v is not None)]
+    values = {key: _PARSERS[key](v) for key, v in given}
+    run = {_RUN_FIELDS[key]: values.pop(key) for key in _RUN_FIELDS if key in values}
     backgrounds = getattr(args, "backgrounds", None)
     return RunConfig(
-        params=_build_params(args, file_cfg),
-        duration_s=pick(args.duration, "duration", float, 1.0),
-        repetitions=pick(args.reps, "reps", int, 1),
-        master_seed=parse_seed(seed_text),
+        params=SystemParams(**values),
         axis_values=_parse_values(args.values) if getattr(args, "values", None) else (),
         background_values=(
             _parse_values(backgrounds) if backgrounds else RunConfig.background_values
         ),
-        out_path=pick(args.out, "out", str, None),
-        otp_path=pick(args.otp, "otp", str, None),
+        **run,
     )
 
 
@@ -131,9 +139,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_otp(args) -> int:
     if args.action == "init":
-        rng = np_rng(parse_seed(args.seed or "00"))
-        pad = rng.integers(0, 256, size=args.size, dtype="uint8").tobytes()
-        store = OtpStore.create(args.otp, pad)
+        store = seeded_store(args.otp, parse_seed(args.seed), args.size)
         print(f"created {args.otp}: {store.remaining} pad bytes")
         store.close()
         return 0
@@ -177,8 +183,8 @@ def main(argv=None) -> int:
     p_otp = sub.add_parser("otp", help="inspect or create an OTP store")
     p_otp.add_argument("action", choices=["init", "status", "ledger"])
     p_otp.add_argument("--otp", required=True, help="store path")
-    p_otp.add_argument("--size", type=int, default=65536, help="initial pad bytes")
-    p_otp.add_argument("--seed", default=None, help="hex seed for the initial pad")
+    p_otp.add_argument("--size", type=int, default=PAD_BYTES, help="initial pad bytes")
+    p_otp.add_argument("--seed", default="00", help="hex seed for the initial pad")
 
     args = parser.parse_args(argv)
     if args.command == "run":

@@ -29,10 +29,6 @@ class RateInfeasible(QkdError):
     """Requested code rate gives no valid check count."""
 
 
-class ErrorTooHigh(QkdError):
-    """Error estimate beyond what any committed code rate can correct."""
-
-
 class LengthMismatch(QkdError):
     """Key length does not match the factor graph's variable count."""
 

@@ -107,7 +107,5 @@ def compress(key_bits: np.ndarray, out_len: int, seed: bytes) -> np.ndarray:
         raise LengthInvalid(
             f"output length {out_len} outside [0, {key_bits.size}]"
         )
-    if out_len == 0:
-        return np.empty(0, dtype=np.uint8)
     diag = HashStream(seed).bits(key_bits.size + out_len - 1)
     return toeplitz_hash(key_bits, out_len, diag)

@@ -34,6 +34,12 @@ class RatePrediction:
     max_background_cps: float  # B_max
 
 
+def _error_rate(params: SystemParams, background_cps, eta):
+    """E = E_base + 4 * B * t / (M * T * eta), for a scalar or array B."""
+    m_t = params.mean_photon_number * params.channel_transmission
+    return params.base_error_rate + 4.0 * background_cps * params.gate_width_s / (m_t * eta)
+
+
 def predict(params: SystemParams) -> RatePrediction:
     """Evaluate the four closed-form figures for one parameter set."""
     m_t_eta = (
@@ -43,7 +49,7 @@ def predict(params: SystemParams) -> RatePrediction:
     )
     signal = params.repetition_rate_hz * m_t_eta / 4.0
     p_b = params.background_rate_cps * params.gate_width_s
-    error = params.base_error_rate + 4.0 * p_b / m_t_eta
+    error = _error_rate(params, params.background_rate_cps, params.detection_efficiency)
     b_max = m_t_eta / (BACKGROUND_BOUND_CONSTANT * params.gate_width_s)
     return RatePrediction(
         sifted_rate_cps=signal,
@@ -63,9 +69,4 @@ def error_band(params: SystemParams, background_grid):
     grid = np.asarray(background_grid, dtype=np.float64)
     if (grid < 0).any():
         raise ValueError("background grid must be non-negative")
-    m_t = params.mean_photon_number * params.channel_transmission
-    base = params.base_error_rate
-    curve_low_eta = base + 4.0 * grid * params.gate_width_s / (m_t * ETA_LOW)
-    curve_high_eta = base + 4.0 * grid * params.gate_width_s / (m_t * ETA_HIGH)
-    return curve_low_eta, curve_high_eta
-
+    return _error_rate(params, grid, ETA_LOW), _error_rate(params, grid, ETA_HIGH)

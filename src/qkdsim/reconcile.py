@@ -23,9 +23,9 @@ import numpy as np
 
 from qkdsim.errors import (
     DecodeFailure,
-    ErrorTooHigh,
     HashMismatch,
     LengthMismatch,
+    QberAboveThreshold,
     RateInfeasible,
 )
 from qkdsim.seeds import HashStream, derive_seed
@@ -182,7 +182,7 @@ def rate_for_error(error_estimate: float, subset_size: int | None = None) -> flo
     if error_estimate < 0:
         raise ValueError("error estimate cannot be negative")
     if error_estimate >= QBER_ABORT_THRESHOLD:
-        raise ErrorTooHigh(f"error estimate {error_estimate:.4f} >= {QBER_ABORT_THRESHOLD}")
+        raise QberAboveThreshold(f"error estimate {error_estimate:.4f} >= {QBER_ABORT_THRESHOLD}")
     if subset_size:
         margin = 3.0 * math.sqrt(
             error_estimate * (1.0 - error_estimate) / subset_size

@@ -64,6 +64,7 @@ LEAD_IN_S = 0.05  # idle time before the first pulse, for start detection
 # order statistic of ~2e5 random offsets even at 6-8% error rates
 ALIGNMENT_SUBSET = 400
 SEARCH_RANGE = 100_000  # alignment offsets scanned on each side of zero
+PAD_BYTES = 64 * 1024  # initial pad of a store created from a seed
 
 
 @dataclass
@@ -288,15 +289,19 @@ def run_once(
     return report
 
 
+def seeded_store(path, seed: bytes, size: int = PAD_BYTES) -> OtpStore:
+    """Create a pad store at ``path`` holding ``size`` bytes drawn from ``seed``."""
+    pad = np_rng(seed).integers(0, 256, size=size, dtype=np.uint8).tobytes()
+    return OtpStore.create(path, pad)
+
+
 def attach_store(cfg: RunConfig):
     if cfg.otp_path is None:
         return None
     if os.path.exists(cfg.otp_path):
         return OtpStore(cfg.otp_path)
     # fresh store gets a pad bootstrapped from the master seed
-    rng = np_rng(derive_seed(cfg.master_seed, "initial-pad"))
-    pad = rng.integers(0, 256, size=64 * 1024, dtype=np.uint8).tobytes()
-    return OtpStore.create(cfg.otp_path, pad)
+    return seeded_store(cfg.otp_path, derive_seed(cfg.master_seed, "initial-pad"))
 
 
 @contextmanager

@@ -10,9 +10,9 @@ import qkdsim.reconcile as rec
 
 from qkdsim.errors import (
     DecodeFailure,
-    ErrorTooHigh,
     HashMismatch,
     LengthMismatch,
+    QberAboveThreshold,
     RateInfeasible,
 )
 from qkdsim.reconcile import (
@@ -265,7 +265,7 @@ def test_rate_table_lookup():
     assert rate_for_error(0.0) == RATE_TABLE[0][1]  # highest committed rate
     rates = [rate_for_error(e) for e in np.linspace(0.0, 0.10, 30)]
     assert all(a >= b for a, b in zip(rates, rates[1:]))
-    with pytest.raises(ErrorTooHigh):
+    with pytest.raises(QberAboveThreshold):
         rate_for_error(0.11)
     # a larger estimation subset narrows the pessimism margin
     assert rate_for_error(0.027, subset_size=50_000) >= rate_for_error(0.027, subset_size=1000)

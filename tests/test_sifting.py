@@ -5,7 +5,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qkdsim.errors import ErrorTooHigh, QberAboveThreshold
+from qkdsim.errors import QberAboveThreshold
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     add_background,
@@ -223,7 +223,7 @@ def test_estimate_error_aborts_at_the_threshold_reconcile_rejects():
     flipped = bits.copy()
     flipped[reveal[:55]] = 1
     assert 55 / 500 == QBER_ABORT_THRESHOLD
-    with pytest.raises(ErrorTooHigh):
+    with pytest.raises(QberAboveThreshold):
         rate_for_error(55 / 500, 500)
     with pytest.raises(QberAboveThreshold):
         estimate_error(
