@@ -108,15 +108,21 @@ class TagStream:
 
     @classmethod
     def from_text(cls, path) -> "TagStream":
+        """Read a tag file; a time not above the previous one, or a line
+        other than 0 or 1, raises ValueError naming the row."""
         ps = []
         lines = []
         with open(path) as fh:
-            for row in fh:
+            for rowno, row in enumerate(fh, 1):
                 if not row.strip():
                     continue
-                t, line = row.split("\t")
-                ps.append(int(t))
-                lines.append(int(line))
+                t, line = (int(v) for v in row.split("\t"))
+                if line not in (0, 1):
+                    raise ValueError(f"{path}:{rowno}: line {line} is not 0 or 1")
+                if ps and t <= ps[-1]:
+                    raise ValueError(f"{path}:{rowno}: time {t} ps does not follow {ps[-1]} ps")
+                ps.append(t)
+                lines.append(line)
         times = np.asarray(ps, dtype=np.int64) * 1e-12
         return cls(times_s=times.astype(np.float64), lines=np.asarray(lines, dtype=np.uint8))
 

@@ -3,6 +3,7 @@
 import errno
 import hashlib
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -17,36 +18,36 @@ def make_store(tmp_path, size=64, name="pad.otp", capacity=256):
 
 
 def test_consume_serves_prefix(tmp_path):
-    store = make_store(tmp_path)
-    data = store.consume(32, "fg_seed")
-    assert data == bytes(range(32))
-    assert store.remaining == 32
+    with make_store(tmp_path) as store:
+        data = store.consume(32, "fg_seed")
+        assert data == bytes(range(32))
+        assert store.remaining == 32
 
 
 def test_consume_past_end_depletes_without_state_change(tmp_path):
-    store = make_store(tmp_path)
-    store.consume(32, "auth")
-    with pytest.raises(PadDepleted):
-        store.consume(33, "pa_seed")
-    assert store.remaining == 32
-    assert len(store.ledger) == 1
+    with make_store(tmp_path) as store:
+        store.consume(32, "auth")
+        with pytest.raises(PadDepleted):
+            store.consume(33, "pa_seed")
+        assert store.remaining == 32
+        assert len(store.ledger) == 1
 
 
 def test_consumes_are_disjoint(tmp_path):
-    store = make_store(tmp_path)
-    store.consume(16, "fg_seed")
-    store.consume(16, "pa_seed")
-    ranges = [(e.offset, e.offset + e.length) for e in store.ledger]
+    with make_store(tmp_path) as store:
+        store.consume(16, "fg_seed")
+        store.consume(16, "pa_seed")
+        ranges = [(e.offset, e.offset + e.length) for e in store.ledger]
     assert ranges == [(0, 16), (16, 32)]
 
 
 def test_topup_then_consume_roundtrip(tmp_path):
-    store = OtpStore.create(tmp_path / "fresh.otp", b"")
-    assert store.remaining == 0
-    secret = bytes(np.random.default_rng(0).integers(0, 256, 1000, dtype=np.uint8))
-    store.top_up(secret)
-    assert store.remaining == 1000
-    assert store.consume(1000, "export") == secret
+    with OtpStore.create(tmp_path / "fresh.otp", b"") as store:
+        assert store.remaining == 0
+        secret = bytes(np.random.default_rng(0).integers(0, 256, 1000, dtype=np.uint8))
+        store.top_up(secret)
+        assert store.remaining == 1000
+        assert store.consume(1000, "export") == secret
 
 
 def test_consumed_bytes_zeroized_on_disk(tmp_path):
@@ -64,63 +65,65 @@ def test_reopen_preserves_state(tmp_path):
     store.consume(10, "auth")
     store.top_up(b"\xaa" * 20)
     store.close()
-    reopened = OtpStore(tmp_path / "pad.otp")
-    assert reopened.remaining == 64 - 10 + 20
-    assert reopened.consumed_offset == 10
-    assert [e.purpose for e in reopened.ledger] == ["auth"]
+    with OtpStore(tmp_path / "pad.otp") as reopened:
+        assert reopened.remaining == 64 - 10 + 20
+        assert reopened.consumed_offset == 10
+        assert [e.purpose for e in reopened.ledger] == ["auth"]
 
 
 def test_two_party_symmetry(tmp_path):
-    a = make_store(tmp_path, size=128, name="alice.otp")
-    b = make_store(tmp_path, size=128, name="bank.otp")
-    for purpose, n in [("auth", 32), ("fg_seed", 32), ("pa_seed", 32)]:
-        assert a.consume(n, purpose) == b.consume(n, purpose)
+    with (
+        make_store(tmp_path, size=128, name="alice.otp") as a,
+        make_store(tmp_path, size=128, name="bank.otp") as b,
+    ):
+        for purpose, n in [("auth", 32), ("fg_seed", 32), ("pa_seed", 32)]:
+            assert a.consume(n, purpose) == b.consume(n, purpose)
 
 
 def test_session_budget(tmp_path):
-    store = make_store(tmp_path, size=200)
-    assert session_budget(store, 96)
-    store.consume(150, "auth")
-    assert not session_budget(store, 96)
-    assert session_budget(store, 40)
+    with make_store(tmp_path, size=200) as store:
+        assert session_budget(store, 96)
+        store.consume(150, "auth")
+        assert not session_budget(store, 96)
+        assert session_budget(store, 40)
 
 
 def test_failed_attempts_burn_exactly_their_cost(tmp_path):
-    store = make_store(tmp_path, size=1024)
     cost = 96
-    for _ in range(5):
-        store.consume(32, "auth")
-        store.consume(32, "fg_seed")
-        store.consume(32, "pa_seed")
-    assert store.remaining == 1024 - 5 * cost
-    spent = sum(e.length for e in store.ledger)
+    with make_store(tmp_path, size=1024) as store:
+        for _ in range(5):
+            store.consume(32, "auth")
+            store.consume(32, "fg_seed")
+            store.consume(32, "pa_seed")
+        assert store.remaining == 1024 - 5 * cost
+        spent = sum(e.length for e in store.ledger)
     assert spent == 5 * cost
 
 
 def test_randomized_ops_against_reference_model(tmp_path):
     """Interleaved top-ups and consumes never re-serve a byte."""
     rng = np.random.default_rng(42)
-    store = OtpStore.create(tmp_path / "model.otp", b"", ledger_capacity=2048)
-    expected_offset = 0
-    appended = 0
-    for _ in range(400):
-        if rng.random() < 0.5 and appended < 60000:
-            n = int(rng.integers(1, 200))
-            # pad bytes encode their absolute position, so reuse is detectable
-            chunk = bytes((appended + i) % 251 for i in range(n))
-            store.top_up(chunk)
-            appended += n
-        else:
-            n = int(rng.integers(1, 100))
-            if n > store.remaining:
-                with pytest.raises(PadDepleted):
-                    store.consume(n, "export")
-                continue
-            data = store.consume(n, "export")
-            assert data == bytes((expected_offset + i) % 251 for i in range(n))
-            expected_offset += n
-    # ledger audit: ranges disjoint, ordered, within the pad
-    ledger = store.ledger
+    with OtpStore.create(tmp_path / "model.otp", b"", ledger_capacity=2048) as store:
+        expected_offset = 0
+        appended = 0
+        for _ in range(400):
+            if rng.random() < 0.5 and appended < 60000:
+                n = int(rng.integers(1, 200))
+                # pad bytes encode their absolute position, so reuse is detectable
+                chunk = bytes((appended + i) % 251 for i in range(n))
+                store.top_up(chunk)
+                appended += n
+            else:
+                n = int(rng.integers(1, 100))
+                if n > store.remaining:
+                    with pytest.raises(PadDepleted):
+                        store.consume(n, "export")
+                    continue
+                data = store.consume(n, "export")
+                assert data == bytes((expected_offset + i) % 251 for i in range(n))
+                expected_offset += n
+        # ledger audit: ranges disjoint, ordered, within the pad
+        ledger = store.ledger
     ends = 0
     for entry in ledger:
         assert entry.offset == ends
@@ -244,6 +247,56 @@ def test_header_with_zero_ledger_capacity_is_a_storage_failure(tmp_path):
     path.write_bytes(OtpStore._pack_header(0, 0, 0, 64) + bytes(64))
     with pytest.raises(StorageFailure, match="no ledger capacity"):
         OtpStore(path)
+
+
+def test_create_refuses_an_existing_path_and_leaves_it(tmp_path):
+    with make_store(tmp_path) as store:
+        store.consume(8, "auth")
+    path = tmp_path / "pad.otp"
+    before = path.read_bytes()
+    with pytest.raises(StorageFailure, match="refusing to overwrite"):
+        OtpStore.create(path, bytes(64))
+    assert path.read_bytes() == before
+
+
+def _patched(raw, pos, data):
+    return raw[:pos] + data + raw[pos + len(data) :]
+
+
+@pytest.mark.parametrize(
+    "damage, message",
+    [
+        (lambda raw: raw[: HEADER_SIZE - 1], "truncated store header"),
+        (lambda raw: _patched(raw, 0, b"OTPSTOR0"), "bad magic or version"),
+        (lambda raw: _patched(raw, 8, struct.pack("<H", 2)), "bad magic or version"),
+        # consumed_offset changed without its checksum
+        (lambda raw: _patched(raw, 20, struct.pack("<Q", 8)), "failed its checksum"),
+    ],
+    ids=["truncated", "magic", "version", "crc"],
+)
+def test_damaged_header_is_a_storage_failure_that_leaves_the_file(tmp_path, damage, message):
+    with make_store(tmp_path):
+        pass
+    path = tmp_path / "pad.otp"
+    path.write_bytes(damage(path.read_bytes()))
+    before = path.read_bytes()
+    with pytest.raises(StorageFailure, match=message):
+        OtpStore(path)
+    assert path.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "n_bytes, purpose, message",
+    [(8, "session", "unknown purpose"), (0, "auth", "at least one"), (-8, "auth", "at least one")],
+)
+def test_consume_rejects_a_bad_request_and_leaves_the_file(tmp_path, n_bytes, purpose, message):
+    path = tmp_path / "pad.otp"
+    with make_store(tmp_path) as store:
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match=message):
+            store.consume(n_bytes, purpose)
+        assert store.consumed_offset == 0
+    assert path.read_bytes() == before
 
 
 def test_ledger_ring_outlives_its_capacity(tmp_path):

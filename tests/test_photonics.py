@@ -509,6 +509,26 @@ def test_tagstream_text_matches_tie_bump_loop(tmp_path, ps):
     stream.to_text(tmp_path / "fast.txt")
     _to_text_reference(stream, tmp_path / "loop.txt")
     assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
+    # the bumped file reads back and writes out unchanged
+    TagStream.from_text(tmp_path / "fast.txt").to_text(tmp_path / "again.txt")
+    assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "fast.txt").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("5\t0\n5\t1\n", "2: time 5 ps does not follow 5 ps"),
+        ("5\t0\n9\t1\n\n8\t0\n", "4: time 8 ps does not follow 9 ps"),
+        ("5\t0\n9\t7\n", "2: line 7 is not 0 or 1"),
+        ("5\t-1\n", "1: line -1 is not 0 or 1"),
+    ],
+    ids=["tie", "backwards", "line-7", "line-negative"],
+)
+def test_tagstream_from_text_rejects_what_the_format_forbids(tmp_path, text, message):
+    path = tmp_path / "tags.txt"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"tags.txt:{message}"):
+        TagStream.from_text(path)
 
 
 def test_ground_truth_labels_partition_stream():

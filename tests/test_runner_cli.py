@@ -76,13 +76,18 @@ def test_run_once_deterministic():
     assert a == b
 
 
-def test_run_once_reports_qber_abort_stage():
+def test_run_once_reports_qber_abort_stage(tmp_path, capsys):
     params = SystemParams(injected_error_rate=0.2)
     report = run_once(params, 0.2, SEED, label="abort")
     assert not report.succeeded
     assert report.failure_stage == "estimate_error"
     assert report.failure_kind == "QberAboveThreshold"
     assert report.n_fin == 0
+    # the command line prints the failed stage and exits 1
+    cfg_file = tmp_path / "eve.cfg"
+    cfg_file.write_text("injected_error_rate = 0.2\nduration = 0.2\nseed = 5eed\n")
+    assert main(["run", "--config", str(cfg_file)]) == 1
+    assert capsys.readouterr().out == "FAILED at estimate_error: QberAboveThreshold\n"
 
 
 def test_run_once_reports_no_jump_on_buried_signal():
@@ -391,6 +396,17 @@ def test_cli_rejects_unknown_config_key_before_writing(tmp_path, command, line):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("line", ["duration = 0.2s", "background_rate_cps = 5k"])
+def test_cli_rejects_a_malformed_config_value_that_a_flag_overrides(tmp_path, line):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text(f"{line}\n")
+    out = tmp_path / "out.csv"
+    argv = ["run", "--config", str(cfg_file), "--duration", "0.2", "--background", "0"]
+    with pytest.raises(ValueError, match="could not convert"):
+        main(argv + ["--out", str(out)])
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text", ["0.01,0.02,0.03,0.04", " 0.01, 0.02 ,0.03,  0.04 "])
 def test_cli_config_passes_four_channel_bers(tmp_path, monkeypatch, text):
     seen = []
@@ -487,10 +503,23 @@ def test_params_check_the_demux_geometry_on_both_sides_of_each_limit():
         ("clock_skew_ppm", -1e6),
         ("dead_time_s", -1.0),
         ("dead_time_s", float("nan")),
+        ("channel_transmission", 0.0),
+        ("detection_efficiency", 1.5),
+        ("base_ber_per_channel", (0.01, 0.02, 0.03)),
+        ("base_ber_per_channel", (0.01, 0.02, 0.5, 0.04)),
+        ("injected_error_rate", 0.5),
     ],
 )
 def test_params_reject_values_a_run_cannot_use(field, value):
-    with pytest.raises(ValueError, match="must be finite"):
+    message = {
+        "channel_transmission": r"transmission must be in \(0, 1\]",
+        "detection_efficiency": r"efficiency must be in \(0, 1\]",
+        "base_ber_per_channel": "one base BER per channel",
+        "injected_error_rate": r"injected error rate must lie in \[0, 0.5\)",
+    }.get(field, "must be finite")
+    if field == "base_ber_per_channel" and len(value) == 4:
+        message = r"each base BER must lie in \[0, 0.5\)"
+    with pytest.raises(ValueError, match=message):
         SystemParams(**{field: value})
 
 
