@@ -34,20 +34,19 @@ def _parse_values(text: str):
     return tuple(float(v) for v in text.split(",") if v.strip())
 
 
-# Each config key's parser: a SystemParams field by its declared type, and
-# the run settings, which go to the RunConfig fields named here.
+# The run settings: config key -> (RunConfig field, parser).
+_RUN_KEYS = {
+    "duration": ("duration_s", float),
+    "reps": ("repetitions", int),
+    "seed": ("master_seed", parse_seed),
+    "out": ("out_path", str),
+    "otp": ("otp_path", str),
+}
+# Every config key's parser; a SystemParams field parses by its declared type.
 _PARSERS = {
-    f.name: _parse_values if f.type is tuple else f.type
-    for f in dataclasses.fields(SystemParams)
+    f.name: _parse_values if f.type is tuple else f.type for f in dataclasses.fields(SystemParams)
 }
-_RUN_FIELDS = {
-    "duration": "duration_s",
-    "reps": "repetitions",
-    "seed": "master_seed",
-    "out": "out_path",
-    "otp": "otp_path",
-}
-_PARSERS.update(duration=float, reps=int, seed=parse_seed, out=str, otp=str)
+_PARSERS.update((key, parse) for key, (_, parse) in _RUN_KEYS.items())
 
 
 def load_config(path) -> dict:
@@ -96,7 +95,7 @@ def _make_config(args) -> RunConfig:
     }
     given = [*file_cfg.items(), *((key, v) for key, v in flags.items() if v is not None)]
     values = {key: _PARSERS[key](v) for key, v in given}
-    run = {_RUN_FIELDS[key]: values.pop(key) for key in _RUN_FIELDS if key in values}
+    run = {field: values.pop(key) for key, (field, _) in _RUN_KEYS.items() if key in values}
     backgrounds = getattr(args, "backgrounds", None)
     return RunConfig(
         params=SystemParams(**values),
