@@ -108,15 +108,21 @@ class TagStream:
 
     @classmethod
     def from_text(cls, path) -> "TagStream":
-        """Read a tag file; a time not above the previous one, or a line
-        other than 0 or 1, raises ValueError naming the row."""
+        """Read a tag file; a row that is not two tab-separated integers, a
+        time not above the previous one, or a line other than 0 or 1,
+        raises ValueError naming the row."""
         ps = []
         lines = []
         with open(path) as fh:
             for rowno, row in enumerate(fh, 1):
                 if not row.strip():
                     continue
-                t, line = (int(v) for v in row.split("\t"))
+                try:
+                    t, line = (int(v) for v in row.split("\t"))
+                except ValueError:
+                    raise ValueError(
+                        f"{path}:{rowno}: {row.strip()!r} is not two tab-separated integers"
+                    ) from None
                 if line not in (0, 1):
                     raise ValueError(f"{path}:{rowno}: line {line} is not 0 or 1")
                 if ps and t <= ps[-1]:
@@ -135,9 +141,30 @@ def _uniform_2bit(rng: np.random.Generator, n: int) -> np.ndarray:
     lowest byte first, and keeps ``(byte * 4) >> 8`` of each; for range 4
     it never rejects a byte. So the draws are the top two bits of the
     little-endian bytes of ceil(n / 4) words, shifted in place.
+
+    ``rng`` is a PCG64 generator, as ``np_rng`` makes. PCG64 hands out
+    32-bit words from its raw 64-bit outputs, low half first, and keeps
+    the high half buffered for the next word. So the words here are a half
+    already buffered at entry, if there is one, then the little-endian
+    bytes of raw outputs; an odd word count leaves the high half of the
+    last output buffered, as numpy would.
     """
-    words = rng.integers(0, 2**32, size=-(-n // 4), dtype=np.uint32)
-    draws = words.astype("<u4", copy=False).view(np.uint8)[:n]
+    bit_gen = rng.bit_generator
+    state = bit_gen.state
+    held = bool(n and state["has_uint32"])
+    words = -(-n // 4) - held  # words still to come from raw outputs
+    raw = bit_gen.random_raw(-(-words // 2))
+    draws = raw.astype("<u8", copy=False).view(np.uint8)
+    if held:  # a copy, but only of draws that follow another 32-bit draw
+        head = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
+        draws = np.concatenate([head, draws])
+    if n:
+        if words:
+            state = bit_gen.state
+            state["uinteger"] = int(raw[-1]) >> 32
+        state["has_uint32"] = words % 2
+        bit_gen.state = state
+    draws = draws[:n]
     draws >>= 6
     return draws
 
@@ -198,10 +225,11 @@ def simulate_detections(
         + rng.normal(0.0, params.pulse_jitter_rms_s, k)
     )
 
+    registered = np.flatnonzero(registers)
     return DetectionEvents(
-        times_s=times[registers],
-        detectors=detectors[registers],
-        pulses=pulse_idx[registers],
+        times_s=times.take(registered),
+        detectors=detectors.take(registered),
+        pulses=pulse_idx.take(registered),
     )
 
 

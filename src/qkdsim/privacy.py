@@ -71,14 +71,18 @@ def toeplitz_hash(key_bits: np.ndarray, out_len: int, diagonal_bits: np.ndarray)
     of the first row, d[n-1+i] the first column.
 
     y_i = sum_j d[n-1+i-j] x_j is entry n - 1 + i of the full convolution
-    d * x, computed here as a real FFT product of size N, the power of two
-    at or above its length 2n + m - 2. Every exact entry is an integer in
-    [0, n]. The float64 FFT convolution errs by O(eps * log2(N) *
-    |d|_2 * |x|_2) <= O(eps * log2(N) * (n + m)), below 1e-7 for any key
-    under 1e7 bits and so far inside the 0.5 that rounding to the
-    nearest integer tolerates: the result equals the exact product mod 2.
-    At the worst case, all-ones d and x with n = 150 000 and m = 60 000,
-    the largest distance to an integer measured 8.7e-11.
+    d * x, computed here as a real FFT product of size N, the smallest
+    power of two at or above n + m - 1. The circular product of size N
+    adds entry k + N of the full convolution onto entry k; the full
+    convolution ends at entry 2n + m - 3, and k + N >= n - 1 + n + m - 1
+    passes that for every wanted k >= n - 1, so entries n - 1 to
+    n + m - 2 are not aliased. Every exact entry is an integer in [0, n].
+    The float64 FFT convolution errs by O(eps * log2(N) * |d|_2 * |x|_2)
+    <= O(eps * log2(N) * (n + m)), below 1e-7 for any key under 1e7 bits
+    and so far inside the 0.5 that rounding to the nearest integer
+    tolerates: the result equals the exact product mod 2. At the worst
+    case, all-ones d and x with n = 150 000 and m = 60 000, the largest
+    distance to an integer measured 2.9e-11.
     """
     n = int(key_bits.size)
     m = int(out_len)
@@ -90,7 +94,7 @@ def toeplitz_hash(key_bits: np.ndarray, out_len: int, diagonal_bits: np.ndarray)
     if n == 0:  # an empty key maps to the zero vector
         return np.zeros(m, dtype=np.uint8)
     x = np.asarray(key_bits, dtype=np.float64)
-    size = 1 << (2 * n + m - 3).bit_length()
+    size = 1 << (n + m - 2).bit_length()
     full = np.fft.irfft(np.fft.rfft(d, size) * np.fft.rfft(x, size), size)
     return (np.rint(full[n - 1 : n - 1 + m]).astype(np.int64) & 1).astype(np.uint8)
 

@@ -197,7 +197,8 @@ def rate_for_error(error_estimate: float, subset_size: int | None = None) -> flo
 
 
 def compute_syndrome(key_bits: np.ndarray, graph: FactorGraph) -> np.ndarray:
-    """Parity of the key bits on every check, one uint8 per check."""
+    """Parity of the key bits (0 or 1, as bool or any integer dtype) on
+    every check, one uint8 per check."""
     key_bits = np.asarray(key_bits)
     if key_bits.size != graph.n:
         raise LengthMismatch(f"key has {key_bits.size} bits, graph expects {graph.n}")
@@ -205,12 +206,9 @@ def compute_syndrome(key_bits: np.ndarray, graph: FactorGraph) -> np.ndarray:
 
 
 def _syndrome_of(bits: np.ndarray, graph: FactorGraph) -> np.ndarray:
-    sums = np.bincount(
-        graph.check_index,
-        weights=bits[graph.var_index].astype(np.float64),
-        minlength=graph.m,
-    )
-    return (sums.astype(np.int64) & 1).astype(np.uint8)
+    # every check holds at least one edge, so no reduceat run is empty
+    parity = np.bitwise_xor.reduceat(bits[graph.var_index], graph.check_ptr[:-1])
+    return parity.astype(np.uint8)
 
 
 def decode(
@@ -246,7 +244,8 @@ def decode(
     msg_vc = np.full(graph.n_edges, prior)
     for _ in range(max_iters):
         half = np.tanh(np.clip(msg_vc, -LLR_CLIP, LLR_CLIP) / 2.0)
-        half = np.where(np.abs(half) < 1e-12, np.sign(half) * 1e-12 + 1e-15, half)
+        tiny = np.flatnonzero(np.abs(half) < 1e-12)
+        half[tiny] = np.sign(half[tiny]) * 1e-12 + 1e-15
         prod = np.multiply.reduceat(half, graph.check_ptr[:-1])
         msg_cv = 2.0 * np.arctanh(
             np.clip(check_sign * prod[graph.check_index] / half, -0.999999999, 0.999999999)

@@ -112,18 +112,7 @@ def sift(
     slots = gated.slots
     dets = gated.detectors
     offset = alignment.start_offset_pulses
-
-    uniq, counts = np.unique(slots, return_counts=True)
-    multi_fire = uniq[counts > 1]
-    single = ~np.isin(slots, multi_fire)
-    revealed = np.isin(slots, alignment.subset_slots)
-
-    # Alice's state at every event's pulse, read once
-    a_idx = slots + offset
-    in_record = (a_idx >= 0) & (a_idx < alice.n_pulses)
-    a_states = alice.states[np.clip(a_idx, 0, alice.n_pulses - 1)]
     bob_bases = state_bases(dets)
-    basis_match = in_record & (state_bases(a_states) == bob_bases)
 
     payload = (
         struct.pack("<I", int(slots.size))
@@ -132,16 +121,34 @@ def sift(
     )
     channel.send("bob", MSG_BASIS_ANNOUNCE, payload)
 
-    matched_keep = single & ~revealed & basis_match
+    # Every event in slot order: one stable sort finds the multi-fire
+    # slots, the revealed events and the key order.
+    order = np.argsort(slots, kind="stable")
+    sorted_slots = slots[order]
+    # an event is single-fire when neither neighbour in slot order shares its slot
+    distinct = sorted_slots[1:] != sorted_slots[:-1]
+    keep = np.ones(slots.size, dtype=bool)
+    keep[1:] &= distinct
+    keep[:-1] &= distinct
 
+    # Alice's state at every event's pulse, read once
+    a_idx = sorted_slots + offset
+    keep &= (a_idx >= 0) & (a_idx < alice.n_pulses)
+    a_states = alice.states[np.clip(a_idx, 0, alice.n_pulses - 1)]
+    keep &= state_bases(a_states) == bob_bases[order]
+
+    # The first event at each revealed slot that some event holds; when
+    # several hold it, the slot is multi-fire and that event already dropped.
+    subset = np.unique(alignment.subset_slots)
+    first = np.searchsorted(sorted_slots, subset, side="left")
+    revealed = first[np.searchsorted(sorted_slots, subset, side="right") > first]
     # revealed single-fire events that would have been key bits
-    n_revealed_matched = int(np.count_nonzero(single & revealed & basis_match))
+    n_revealed_matched = int(np.count_nonzero(keep[revealed]))
+    keep[revealed] = False
 
-    kept_slots = slots[matched_keep]
-    order = np.argsort(kept_slots, kind="stable")
-    kept_slots = kept_slots[order]
-    bob_bits = state_bits(dets[matched_keep][order])
-    alice_bits = state_bits(a_states[matched_keep][order])
+    kept_slots = sorted_slots[keep]
+    bob_bits = state_bits(dets[order[keep]])
+    alice_bits = state_bits(a_states[keep])
 
     channel.send(
         "alice",

@@ -87,6 +87,24 @@ def test_uniform_2bit_equals_bounded_uint8_draws(n):
     assert rng.random() == ref.random()
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7, 1000, 1001, 1002, 1003])
+def test_uniform_2bit_after_a_buffered_half_equals_bounded_uint8_draws(n):
+    # the state simulate_detections draws the grating port in: three
+    # bounded int64 draws below 2^32 take three 32-bit words and leave the
+    # high half of a 64-bit output buffered
+    rng, ref = np_rng(seed(f"held{n}")), np_rng(seed(f"held{n}"))
+    for gen in (rng, ref):
+        gen.integers(0, 1000, 3, dtype=np.int64)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    got = _uniform_2bit(rng, n)
+    want = ref.integers(0, 4, size=n, dtype=np.uint8)
+    assert got.dtype == np.uint8
+    assert got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert rng.integers(0, 2**32, dtype=np.uint32) == ref.integers(0, 2**32, dtype=np.uint32)
+    assert rng.random() == ref.random()
+
+
 def test_simulate_no_photons_gives_no_signal():
     params = SystemParams(mean_photon_number=1e-9)
     rec = generate_alice_record(10_000, seed("mu0"))
@@ -521,8 +539,10 @@ def test_tagstream_text_matches_tie_bump_loop(tmp_path, ps):
         ("5\t0\n9\t1\n\n8\t0\n", "4: time 8 ps does not follow 9 ps"),
         ("5\t0\n9\t7\n", "2: line 7 is not 0 or 1"),
         ("5\t-1\n", "1: line -1 is not 0 or 1"),
+        ("5\t0\t1\n", "1: .+ is not two tab-separated integers"),
+        ("5\t0\n9 1\n", "2: '9 1' is not two tab-separated integers"),
     ],
-    ids=["tie", "backwards", "line-7", "line-negative"],
+    ids=["tie", "backwards", "line-7", "line-negative", "three-fields", "space"],
 )
 def test_tagstream_from_text_rejects_what_the_format_forbids(tmp_path, text, message):
     path = tmp_path / "tags.txt"

@@ -150,7 +150,22 @@ def convolve_reference(key_bits, out_len, diagonal_bits):
 
 
 @pytest.mark.parametrize(
-    "n,m", [(1, 1), (2, 1), (2, 2), (7, 3), (64, 64), (1000, 1), (1000, 999), (12_450, 4_960)]
+    "n,m",
+    [
+        (1, 1),
+        (2, 1),
+        (2, 2),
+        (7, 3),
+        (64, 64),
+        (1000, 1),
+        (1000, 999),
+        (12_450, 4_960),
+        # n + m - 1 at a power of two and one above it: the FFT size edge
+        (512, 513),
+        (512, 514),
+        (1, 1024),
+        (1024, 1),
+    ],
 )
 def test_toeplitz_hash_matches_convolution_reference(n, m):
     rng = np.random.default_rng(n * 7919 + m)

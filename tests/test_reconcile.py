@@ -298,6 +298,31 @@ def test_syndrome_linearity():
     assert np.array_equal(sab, sa ^ sb)
 
 
+def _reference_syndrome(bits, graph):
+    """The float-bincount syndrome that the reduceat parity replaced."""
+    sums = np.bincount(
+        graph.check_index,
+        weights=bits[graph.var_index].astype(np.float64),
+        minlength=graph.m,
+    )
+    return (sums.astype(np.int64) & 1).astype(np.uint8)
+
+
+@pytest.mark.parametrize("n, rate", [(256, 0.85), (512, 0.5), (10_000, 0.53), (65_536, 0.2)])
+@pytest.mark.parametrize("dtype", [np.uint8, bool])
+def test_syndrome_matches_bincount_reference(n, rate, dtype):
+    g = build_factor_graph(n, rate, derive_seed(SEED, f"syn/{n}"))
+    rng = np.random.default_rng(n)
+    for key in (
+        rng.integers(0, 2, n).astype(dtype),
+        np.zeros(n, dtype=dtype),
+        np.ones(n, dtype=dtype),
+    ):
+        syn = compute_syndrome(key, g)
+        assert syn.dtype == np.uint8
+        assert np.array_equal(syn, _reference_syndrome(key, g))
+
+
 def test_syndrome_length_mismatch():
     g = build_factor_graph(512, 0.5, SEED)
     with pytest.raises(LengthMismatch):

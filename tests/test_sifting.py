@@ -1,6 +1,7 @@
 """Sifting exchange, subset error estimation and channel framing."""
 
 import hashlib
+import struct
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from qkdsim.photonics import (
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
+    state_bases,
     state_bits,
 )
 from qkdsim.rate_model import error_band
@@ -170,6 +172,95 @@ def test_sift_excludes_revealed_alignment_subset():
     assert not np.isin(alice_key.pulse_slots, revealed).any()
     assert alice_key.n_err > 0  # matched revealed events are spent bits
     assert alice_key.n_rec == len(alice_key) + alice_key.n_err
+
+
+def _reference_sift(gated, alignment, alice, channel):
+    """The np.unique / np.isin sift that one stable argsort replaced."""
+    slots = gated.slots
+    dets = gated.detectors
+    offset = alignment.start_offset_pulses
+
+    uniq, counts = np.unique(slots, return_counts=True)
+    multi_fire = uniq[counts > 1]
+    single = ~np.isin(slots, multi_fire)
+    revealed = np.isin(slots, alignment.subset_slots)
+
+    a_idx = slots + offset
+    in_record = (a_idx >= 0) & (a_idx < alice.n_pulses)
+    a_states = alice.states[np.clip(a_idx, 0, alice.n_pulses - 1)]
+    bob_bases = state_bases(dets)
+    basis_match = in_record & (state_bases(a_states) == bob_bases)
+
+    payload = (
+        struct.pack("<I", int(slots.size))
+        + slots.astype("<i8").tobytes()
+        + bob_bases.tobytes()
+    )
+    channel.send("bob", MSG_BASIS_ANNOUNCE, payload)
+
+    matched_keep = single & ~revealed & basis_match
+    n_revealed_matched = int(np.count_nonzero(single & revealed & basis_match))
+
+    kept_slots = slots[matched_keep]
+    order = np.argsort(kept_slots, kind="stable")
+    kept_slots = kept_slots[order]
+    bob_bits = state_bits(dets[matched_keep][order])
+    alice_bits = state_bits(a_states[matched_keep][order])
+
+    channel.send(
+        "alice",
+        MSG_MATCH_REPLY,
+        struct.pack("<I", int(kept_slots.size)) + kept_slots.astype("<i8").tobytes(),
+    )
+
+    n_rec = int(kept_slots.size) + n_revealed_matched
+    alice_key = SiftedKey(alice_bits, kept_slots.copy(), n_rec, n_revealed_matched)
+    bob_key = SiftedKey(bob_bits, kept_slots.copy(), n_rec, n_revealed_matched)
+    return alice_key, bob_key
+
+
+def _assert_sift_matches_reference(gated, alignment, rec):
+    got_channel, want_channel = ClassicalChannel(), ClassicalChannel()
+    got = sift(gated, alignment, rec, got_channel)
+    want = _reference_sift(gated, alignment, rec, want_channel)
+    for g, w in zip(got, want):
+        assert g.bits.dtype == w.bits.dtype and g.pulse_slots.dtype == w.pulse_slots.dtype
+        assert np.array_equal(g.bits, w.bits)
+        assert np.array_equal(g.pulse_slots, w.pulse_slots)
+        assert (g.n_rec, g.n_err) == (w.n_rec, w.n_err)
+    assert got_channel.log == want_channel.log
+
+
+def _shuffled_gated(rng, n_events, n_slots):
+    # unsorted slots from a small range, so many fire twice or more
+    slots = rng.integers(-50, n_slots, n_events)
+    return manual_gated(slots, rng.integers(0, 4, n_events))
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_sift_matches_reference_on_unsorted_multi_fire_slots(case):
+    rng = np.random.default_rng(case)
+    rec = generate_alice_record(2000, seed(f"ref{case}"))
+    gated = _shuffled_gated(rng, 3000, 2100)
+    present = rng.choice(gated.slots, 200)
+    # repeated, multi-fire, absent and out-of-record revealed slots
+    revealed = np.concatenate([present, present[:20], [-40, -1, 2050, 10**9, 5000]])
+    rng.shuffle(revealed)
+    for subset in (revealed, [], present[:1]):
+        _assert_sift_matches_reference(gated, manual_alignment(case * 7 - 20, subset), rec)
+
+
+def test_sift_matches_reference_on_a_pipeline_run():
+    rec, gated, _, offset = gated_run("ref-pipeline", background_cps=25_000.0)
+    rng = np.random.default_rng(17)
+    revealed = rng.choice(gated.slots, 400, replace=False)
+    _assert_sift_matches_reference(gated, manual_alignment(offset, revealed), rec)
+    _assert_sift_matches_reference(gated, manual_alignment(offset + 3, revealed), rec)
+
+
+def test_sift_matches_reference_without_events():
+    rec = generate_alice_record(100, seed("ref-empty"))
+    _assert_sift_matches_reference(manual_gated([], []), manual_alignment(0, [5]), rec)
 
 
 def test_estimate_error_identical_keys():
