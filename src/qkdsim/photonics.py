@@ -158,7 +158,7 @@ def _uniform_2bit(rng: np.random.Generator, n: int) -> np.ndarray:
     if held:  # a copy, but only of draws that follow another 32-bit draw
         head = np.array([state["uinteger"]], dtype="<u4").view(np.uint8)
         draws = np.concatenate([head, draws])
-    if n:
+    if n:  # the buffered half as numpy's uint32 path leaves it
         if words:
             state = bit_gen.state
             state["uinteger"] = int(raw[-1]) >> 32
