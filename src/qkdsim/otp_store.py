@@ -38,7 +38,7 @@ HEADER_SIZE = 64
 LEDGER_ENTRY_SIZE = 40
 DEFAULT_LEDGER_CAPACITY = 64
 
-_HEADER_FMT = "<8sHHIIQQI"
+_HEADER_BODY_FMT = "<8sHHIIQQ"  # the header up to its crc32, which follows as a u32
 _ENTRY_FMT = "<B7sQQdI4s"
 
 PURPOSES = {"fg_seed": 1, "pa_seed": 2, "auth": 3, "export": 4}
@@ -100,7 +100,7 @@ class OtpStore:
     @staticmethod
     def _pack_header(capacity, count, consumed, pad_length) -> bytes:
         body = struct.pack(
-            "<8sHHIIQQ", MAGIC, VERSION, 0, capacity, count, consumed, pad_length
+            _HEADER_BODY_FMT, MAGIC, VERSION, 0, capacity, count, consumed, pad_length
         )
         crc = zlib.crc32(body)
         header = body + struct.pack("<I", crc)
@@ -114,12 +114,12 @@ class OtpStore:
         raw = self._fh.read(HEADER_SIZE)
         if len(raw) < HEADER_SIZE:
             raise StorageFailure("truncated store header")
-        magic, version, _, capacity, count, consumed, pad_length, crc = struct.unpack(
-            _HEADER_FMT, raw[: struct.calcsize(_HEADER_FMT)]
+        magic, version, _, capacity, count, consumed, pad_length, crc = struct.unpack_from(
+            _HEADER_BODY_FMT + "I", raw
         )
         if magic != MAGIC or version != VERSION:
             raise StorageFailure("not a pad store (bad magic or version)")
-        if crc != zlib.crc32(raw[: struct.calcsize("<8sHHIIQQ")]):
+        if crc != zlib.crc32(raw[: struct.calcsize(_HEADER_BODY_FMT)]):
             raise StorageFailure("store header failed its checksum")
         if capacity == 0:
             raise StorageFailure("store header has no ledger capacity")

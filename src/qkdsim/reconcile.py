@@ -130,9 +130,9 @@ def build_factor_graph(n: int, target_rate: float, seed: bytes) -> FactorGraph:
     if m < VARIABLE_DEGREE + 1 or m >= n:
         raise RateInfeasible(f"rate {target_rate} gives {m} checks for {n} bits")
 
-    # Fisher-Yates over edge slots; below_many gives exactly the draws of
-    # successive stream.below(i + 1) calls for i = 3n - 1, ..., 1. Slot q
-    # starts out holding variable q // 3.
+    # Fisher-Yates over edge slots with the draws below_many gives for the
+    # bounds i + 1, i = 3n - 1, ..., 1. Slot q starts out holding variable
+    # q // 3.
     n_edges = VARIABLE_DEGREE * n
     positions = _shuffled_positions(HashStream(seed).below_many(np.arange(n_edges, 1, -1)))
 
@@ -307,7 +307,7 @@ def reconcile_keys(
         n_syn += graph.m
         corrected.append(fixed[: fixed.size - pad] if pad else fixed)
 
-    bob_corrected = np.concatenate(corrected) if corrected else np.empty(0, np.uint8)
+    bob_corrected = np.concatenate(corrected)
     digest_a = key_digest(alice_bits)
     digest_b = key_digest(bob_corrected)
     channel.send("alice", MSG_KEY_HASH, digest_a)

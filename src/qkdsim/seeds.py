@@ -4,9 +4,9 @@ A 256-bit master seed fans out into per-stage seeds through labeled
 SHA-256 derivation, so changing how one stage draws randomness can never
 reshuffle another stage's. Simulation noise uses numpy generators seeded
 from the derived bytes. Constructions that both parties must reproduce
-byte-exactly from shared OTP material (factor graphs, Toeplitz rows) use
-the counter-mode ``HashStream`` instead; its byte-level contract is
-documented in the README.
+byte-exactly from shared OTP material (factor graphs, Toeplitz rows) read
+the counter-mode ``HashStream`` instead, each from byte 0; its
+byte-level contract is documented in the README.
 """
 
 import hashlib
@@ -37,81 +37,56 @@ def np_rng(seed: bytes) -> np.random.Generator:
 class HashStream:
     """Counter-mode SHA-256 byte stream: block k = SHA-256(seed || k as u64 BE).
 
-    The stream, the big-endian u64 draws and the rejection sampling in
-    ``below`` are part of the cross-party contract: two stores seeded with
-    the same OTP bytes must expand to identical graphs and hash rows.
+    The stream, its big-endian u64 draws and the skip rule of ``below_many``
+    are a cross-party contract: both parties expand the same OTP bytes to
+    identical graphs and hash rows. Each expansion reads from byte 0, so
+    the object keeps no position, only the hashed seed.
     """
 
     def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
             raise ValueError("HashStream seed must be exactly 32 bytes")
         self._prefix = hashlib.sha256(seed)  # the seed hashed once, copied per block
-        self._counter = 0
-        self._buf = bytearray()
 
-    def _fill(self, n: int) -> None:
-        """Hash, in one pass, the blocks that bring the buffer to n bytes."""
-        short = n - len(self._buf)
-        if short <= 0:
-            return
-        first = self._counter
-        self._counter += -(-short // 32)
-        copy = self._prefix.copy
-        for k in range(first, self._counter):
-            h = copy()
+    def read(self, start: int, stop: int) -> bytearray:
+        """Bytes [start, stop) of the stream, hashing only the blocks they touch."""
+        first = start // 32
+        out = bytearray()
+        for k in range(first, -(-stop // 32)):
+            h = self._prefix.copy()
             h.update(k.to_bytes(8, "big"))
-            self._buf += h.digest()
-
-    def take(self, n: int) -> bytes:
-        self._fill(n)
-        out = bytes(self._buf[:n])
-        del self._buf[:n]
+            out += h.digest()
+        # trimmed in place: deleting the head only moves the bytearray's start
+        del out[stop - 32 * first :]
+        del out[: start - 32 * first]
         return out
 
-    def u64(self) -> int:
-        return int.from_bytes(self.take(8), "big")
-
-    def below(self, n: int) -> int:
-        """Uniform integer in [0, n), bias-free by rejection on u64 draws.
-
-        n must lie in [1, 2^64]; above that no u64 draw could be accepted.
-        """
-        if not 1 <= n <= 2**64:
-            raise ValueError("bound must lie in [1, 2^64]")
-        limit = (2**64 // n) * n
-        while True:
-            u = self.u64()
-            if u < limit:
-                return u % n
-
     def below_many(self, bounds) -> np.ndarray:
-        """``[self.below(b) for b in bounds]`` as a uint64 array, in bulk.
+        """Uniform integers in [0, b), one per bound b, as a uint64 array.
 
-        The draws for all bounds are hashed at once and reduced with one
-        vectorised ``u % b``. A draw ``below`` would reject (u at or above
-        the largest multiple of b that fits in 2^64) ends the bulk part;
-        from there on the draws go through ``below`` one at a time. The
-        values and the stream position afterwards are therefore exactly
-        those of successive ``below`` calls. Bounds must lie in [1, 2^64).
+        Draw i is the big-endian u64 at bytes [8i, 8i + 8). Each bound takes
+        the next unused draw u and gives u % b, unless u is at or above
+        floor(2^64 / b) * b: then u is skipped and the same bound takes the
+        next draw. Bounds must lie in [1, 2^64).
         """
-        bounds = np.asarray(bounds, dtype=np.uint64)
-        if bounds.size and not bounds.min() > 0:
-            raise ValueError("bound must be positive")
-        k = bounds.size
-        self._fill(8 * k)
-        # astype copies out of the buffer, and the temporary view is gone
-        # before the del below (a bytearray with a live export cannot shrink).
-        u = np.frombuffer(self._buf, dtype=">u8", count=k).astype(np.uint64)
+        if not isinstance(bounds, np.ndarray):
+            bounds = np.array(list(bounds), dtype=object)  # Python ints stay exact past 2^63
+        if bounds.size and not 1 <= int(bounds.min()) <= int(bounds.max()) < 2**64:
+            raise ValueError("bound must lie in [1, 2^64)")
+        bounds = bounds.astype(np.uint64)
+        out = np.empty(bounds.size, dtype=np.uint64)
         top = np.uint64(2**64 - 1)
-        rem = (top % bounds + np.uint64(1)) % bounds  # 2^64 mod b
-        rejected = u > top - rem
-        ok = int(rejected.argmax()) if rejected.any() else k
-        del self._buf[: 8 * ok]
-        tail = [self.below(int(b)) for b in bounds[ok:]]
-        return np.concatenate([u[:ok] % bounds[:ok], np.array(tail, dtype=np.uint64)])
+        done = draw = 0
+        while done < bounds.size:  # one bulk pass, and one more after each skip
+            b = bounds[done:]
+            u = np.frombuffer(self.read(8 * draw, 8 * (draw + b.size)), ">u8").astype(np.uint64)
+            skip = u > top - (top % b + np.uint64(1)) % b  # u >= floor(2^64 / b) * b
+            ok = int(skip.argmax()) if skip.any() else b.size
+            np.remainder(u[:ok], b[:ok], out=out[done : done + ok])
+            done += ok
+            draw += ok + 1
+        return out
 
     def bits(self, n: int) -> np.ndarray:
-        """Next n bits of the stream, MSB-first within each byte."""
-        nbytes = (n + 7) // 8
-        raw = np.frombuffer(self.take(nbytes), dtype=np.uint8)
-        return np.unpackbits(raw)[:n]
+        """First n bits of the stream, MSB-first within each byte."""
+        return np.unpackbits(np.frombuffer(self.read(0, (n + 7) // 8), np.uint8))[:n]

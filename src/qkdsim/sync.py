@@ -301,19 +301,16 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     track_times, track_phases = [], []
     out_slots, out_dets, out_idx = [], [], []
 
-    # t is sorted, so each interval [lo, hi) is one slice of it
+    # t is sorted, so the intervals [k D, (k + 1) D) are consecutive slices
+    # of it; each cut is computed once, so every tag lies in one interval
     n_intervals = int(np.ceil(horizon / DRIFT_UPDATE_INTERVAL_S)) or 1
+    cuts = np.searchsorted(t, np.arange(n_intervals + 1) * DRIFT_UPDATE_INTERVAL_S)
+    cuts[-1] = t.size
     for k in range(n_intervals):
-        lo = k * DRIFT_UPDATE_INTERVAL_S
-        hi = lo + DRIFT_UPDATE_INTERVAL_S
-        first = int(np.searchsorted(t, lo))
-        end = int(np.searchsorted(t, hi)) if k < n_intervals - 1 else t.size
+        first, end = int(cuts[k]), int(cuts[k + 1])
         m = slice(first, end)
-        count = end - first
-        if count == 0:
-            continue
         tc = tau0 + (t[m] - tau0) / (1.0 + alpha)
-        if count >= MIN_TAGS_PER_INTERVAL:
+        if end - first >= MIN_TAGS_PER_INTERVAL:
             phase_k, ratio_k, _ = _peak_phase(tc, period, gate)
             if ratio_k < MIN_PEAK_RATIO:
                 raise LockLost(f"interval {k}: peak ratio {ratio_k:.2f} below {MIN_PEAK_RATIO}")
@@ -337,9 +334,9 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
         out_idx.append(base + first + kept)
         histogram += _phase_histogram((tc - (phase_track - phase0)) % period, period, gate)[0]
 
-    slots = np.concatenate(out_slots) if out_slots else np.empty(0, np.int64)
-    dets = np.concatenate(out_dets) if out_dets else np.empty(0, np.uint8)
-    idx = np.concatenate(out_idx) if out_idx else np.empty(0, np.int64)
+    slots = np.concatenate(out_slots)
+    dets = np.concatenate(out_dets)
+    idx = np.concatenate(out_idx)
     # anchor slot numbers at the lock point: however far off the detected
     # start was, the offset alignment must search stays bounded by the
     # bootstrap slide, not by start-detection accuracy

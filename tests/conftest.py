@@ -1,5 +1,7 @@
 """Shared test helpers."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,29 @@ def reference_simulate_detections(record, params, seed):
         detectors=detectors[registers],
         pulses=pulse_idx[registers],
     )
+
+
+def reference_below(seed, bounds):
+    """The draw-by-draw rule of the HashStream contract in README.md.
+
+    Block k = SHA-256(seed || k as u64 BE), each hashed from scratch; draw i
+    is the big-endian u64 at stream bytes [8i, 8i + 8). Each bound b takes
+    the next draw u, skipping any u >= floor(2^64 / b) * b, and gives u % b.
+    The oracle for ``HashStream.below_many``; returns the values and the
+    number of draws used.
+    """
+    values, used = [], 0
+    for b in map(int, bounds):
+        limit = 2**64 // b * b
+        while True:
+            if used % 4 == 0:
+                block = hashlib.sha256(seed + (used // 4).to_bytes(8, "big")).digest()
+            u = int.from_bytes(block[8 * (used % 4) : 8 * (used % 4) + 8], "big")
+            used += 1
+            if u < limit:
+                values.append(u % b)
+                break
+    return values, used
 
 
 @pytest.fixture

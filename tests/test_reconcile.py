@@ -24,8 +24,10 @@ from qkdsim.reconcile import (
     rate_for_error,
     reconcile_keys,
 )
-from qkdsim.seeds import HashStream, derive_seed
+from qkdsim.seeds import derive_seed
 from qkdsim.sifting import ClassicalChannel
+
+from conftest import reference_below
 
 SEED = derive_seed(bytes(32), "reconcile-tests")
 
@@ -74,11 +76,10 @@ def _reference_build_factor_graph(n, target_rate, seed, refill_hits=None):
     variable in that check.
     """
     m = int(round(n * (1.0 - target_rate)))
-    stream = HashStream(seed)
     slots = np.repeat(np.arange(n, dtype=np.int64), 3)
     n_edges = slots.size
-    for i in range(n_edges - 1, 0, -1):
-        j = stream.below(i + 1)
+    draws, _ = reference_below(seed, range(n_edges, 1, -1))
+    for i, j in zip(range(n_edges - 1, 0, -1), draws):
         slots[i], slots[j] = slots[j], slots[i]
     bounds = (np.arange(m + 1, dtype=np.int64) * n_edges) // m
     members = [set() for _ in range(m)]

@@ -331,6 +331,21 @@ def test_lock_clock_known_answer_from_an_early_start(reference_sampler, backgrou
     assert got == answer
 
 
+@pytest.mark.parametrize("boundary_s", [0.6, 1.3])
+def test_lock_clock_histograms_a_tag_on_an_interval_boundary_once(boundary_s):
+    # 6 * 0.1 and 5 * 0.1 + 0.1 differ by one ulp, as do 13 * 0.1 and
+    # 12 * 0.1 + 0.1: a tag exactly there still lies in exactly one interval
+    params = SystemParams(clock_skew_ppm=0.0)
+    rng = np.random.default_rng(7)
+    slots = np.unique(rng.integers(0, 6_750_000, 40_000))  # 1.35 s of pulses
+    times = 50e-9 + slots * params.pulse_period_s
+    lines = rng.integers(0, 2, slots.size).astype(np.uint8)
+    at = int(np.searchsorted(times, boundary_s))
+    extra = TagStream(np.insert(times, at, boundary_s), np.insert(lines, at, 0))
+    before = lock_clock(TagStream(times, lines), 0.0, params).phase_histogram.sum()
+    assert lock_clock(extra, 0.0, params).phase_histogram.sum() == before + 1
+
+
 def test_lock_clock_lost_when_signal_stops():
     params = SystemParams(background_rate_cps=30000.0)
     n_pulses = 1_000_000  # 0.2 s of signal, then 0.3 s of bare background
