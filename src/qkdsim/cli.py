@@ -109,6 +109,8 @@ def _make_config(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _make_config(args)
+    if args.phase_hist:
+        open(args.phase_hist, "w").close()  # a bad path fails before the pad or CSV is touched
     with open_outputs(cfg) as (otp, emit):
         report = run_once(
             cfg.params, cfg.duration_s, cfg.master_seed, otp=otp, phase_hist_path=args.phase_hist

@@ -17,7 +17,7 @@ class AmbiguousAlignment(QkdError):
     """Top two correlation scores are too close to trust the offset."""
 
 
-class InsufficientData(QkdError, ValueError):
+class InsufficientData(QkdError):
     """Too few events or key bits for a statistical step: the run was too short."""
 
 

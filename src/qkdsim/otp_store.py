@@ -63,10 +63,6 @@ class OtpStore:
     def __init__(self, path):
         self.path = os.fspath(path)
         self._fh = None
-        self._ledger_capacity = DEFAULT_LEDGER_CAPACITY
-        self._ledger_count = 0
-        self._consumed = 0
-        self._pad_length = 0
         try:
             self._open()
         except BaseException:
@@ -127,6 +123,9 @@ class OtpStore:
         self._ledger_count = count
         self._consumed = consumed
         self._pad_length = pad_length
+        # a create cut short leaves a file that would serve short reads
+        if os.fstat(self._fh.fileno()).st_size < self._pad_pos(pad_length):
+            raise StorageFailure("store file is shorter than its ledger and pad")
         self._recover()
 
     def _recover(self):

@@ -297,15 +297,13 @@ def reconcile_keys(
         a = alice_bits[i * MAX_BLOCK_BITS : (i + 1) * MAX_BLOCK_BITS]
         b = bob_bits[i * MAX_BLOCK_BITS : (i + 1) * MAX_BLOCK_BITS]
         pad = max(MIN_BLOCK_BITS - a.size, 0)
-        if pad:
-            a = np.concatenate([a, np.zeros(pad, dtype=np.uint8)])
-            b = np.concatenate([b, np.zeros(pad, dtype=np.uint8)])
+        a, b = np.pad(a, (0, pad)), np.pad(b, (0, pad))
         graph = build_factor_graph(a.size, rate, derive_seed(seed, f"block{i}"))
         syn = compute_syndrome(a, graph)
         log_syndrome(channel, graph, syn)
         fixed = decode(b, syn, graph, error_estimate)
         n_syn += graph.m
-        corrected.append(fixed[: fixed.size - pad] if pad else fixed)
+        corrected.append(fixed[: fixed.size - pad])
 
     bob_corrected = np.concatenate(corrected)
     digest_a = key_digest(alice_bits)

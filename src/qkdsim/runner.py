@@ -41,8 +41,6 @@ from qkdsim.photonics import (
     generate_alice_record,
     multiplex_two_channel,
     simulate_detections,
-    state_bases,
-    state_bits,
 )
 from qkdsim.reconcile import reconcile_keys
 from qkdsim.seeds import derive_seed, np_rng
@@ -234,13 +232,9 @@ def run_once(
         stage = "sparse_align"
         rng = np_rng(seed("subset"))
         k = min(ALIGNMENT_SUBSET, gated.n_events)
-        chosen = rng.choice(gated.n_events, size=k, replace=False) if k else np.empty(0, int)
+        chosen = rng.choice(gated.n_events, size=k, replace=False)
         alignment = sparse_align(
-            gated.slots[chosen],
-            state_bases(gated.detectors[chosen]),
-            state_bits(gated.detectors[chosen]),
-            record,
-            search_range=SEARCH_RANGE,
+            gated.slots[chosen], gated.detectors[chosen], record, search_range=SEARCH_RANGE
         )
         report.start_offset_pulses = alignment.start_offset_pulses
         report.alignment_score = alignment.match_score

@@ -47,11 +47,6 @@ class ClassicalChannel:
         self.log.append((sender, msg_type, payload))
         return frame
 
-    @staticmethod
-    def parse_frame(frame: bytes):
-        msg_type, length = struct.unpack(">BI", frame[:5])
-        return msg_type, frame[5 : 5 + length]
-
     @property
     def bytes_logged(self) -> int:
         return sum(len(p) + 5 for _, _, p in self.log)
@@ -157,8 +152,8 @@ def sift(
     )
 
     n_rec = int(kept_slots.size) + n_revealed_matched
-    alice_key = SiftedKey(alice_bits, kept_slots.copy(), n_rec, n_revealed_matched)
-    bob_key = SiftedKey(bob_bits, kept_slots.copy(), n_rec, n_revealed_matched)
+    alice_key = SiftedKey(alice_bits, kept_slots, n_rec, n_revealed_matched)
+    bob_key = SiftedKey(bob_bits, kept_slots, n_rec, n_revealed_matched)
     return alice_key, bob_key
 
 

@@ -15,7 +15,7 @@ is recovered from the tag stream itself in three steps.
    within half a gate of either peak are kept, demultiplexed back onto
    four channels, and assigned pulse slots.
 3. ``sparse_align`` maps Bob's slot numbering onto Alice's pulse indices
-   by scoring a small revealed subset of (slot, basis, bit) triples
+   by scoring a small revealed subset of (slot, state index) pairs
    against her record at every candidate offset.
 """
 
@@ -97,8 +97,6 @@ def _refine_onset(times: np.ndarray, lo: int, hi: int) -> float:
     """
     seg = times[lo:hi]
     n = seg.size
-    if n < 3:
-        return float(seg[0])
     t_origin = times[lo - 1] if lo > 0 else 0.0
     t_end = float(seg[-1])
     j = np.arange(1, n - 1)
@@ -271,11 +269,10 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     horizon = float(t[-1])
 
     lock_at, w, tau0, alpha, phase0 = _bootstrap_window(t, period, gate)
-    if lock_at > 0:
-        # tags before the locked window predate the transmission; their
-        # slots would map below the transmitter's record anyway
-        first = int(np.searchsorted(t, lock_at))
-        base, t, lines = base + first, t[first:], lines[first:]
+    # tags before the locked window predate the transmission; their slots
+    # would map below the transmitter's record anyway
+    first = int(np.searchsorted(t, lock_at))
+    base, t, lines = base + first, t[first:], lines[first:]
 
     # Pin the skew on geometrically longer baselines so the drift over one
     # tracking interval stays inside a fraction of the gate.
@@ -374,21 +371,20 @@ _COUNTER_FLUSH = 255  # events a uint8 partial counter holds without wrapping
 
 def _offset_scores(
     subset_slots: np.ndarray,
-    subset_bases: np.ndarray,
-    subset_bits: np.ndarray,
+    subset_states: np.ndarray,
     alice: AliceRecord,
     search_range: int,
 ) -> np.ndarray:
     """Agreement score at each offset in [-search_range, search_range].
 
-    Event (s, b, v) meets Alice's pulse s + o at offset o, so for every
-    event one slice of her record is XORed with the event's code
-    ``v << 1 | b``: a zero marks an agreement and a set low bit a basis
-    mismatch. Both are added to uint8 partial counters, flushed into
-    int32 totals every ``_COUNTER_FLUSH`` events, so every count is an
-    exact integer. Basis matches are each offset's coverage (a difference
-    array over the events' slices) minus its mismatches; slots whose
-    pulse falls outside the record add nothing. Offsets with fewer than
+    Event (s, v) with state index v in 0..3 meets Alice's pulse s + o at
+    offset o, so for every event one slice of her record is XORed with v:
+    a zero marks an agreement and a set low bit a basis mismatch. Both
+    are added to uint8 partial counters, flushed into int32 totals every
+    ``_COUNTER_FLUSH`` events, so every count is an exact integer. Basis
+    matches are each offset's coverage (a difference array over the
+    events' slices) minus its mismatches; slots whose pulse falls outside
+    the record add nothing. Offsets with fewer than
     ``_MIN_MATCHED_FOR_SCORE`` basis matches score 0.
     """
     states = alice.states
@@ -402,16 +398,15 @@ def _offset_scores(
     x = np.empty(width, dtype=np.uint8)
     hit = np.empty(width, dtype=np.bool_)
     pending = 0
-    for s, b, v in zip(subset_slots.tolist(), subset_bases.tolist(), subset_bits.tolist()):
+    for s, v in zip(subset_slots.tolist(), subset_states.tolist()):
         a0 = max(s - search_range, 0)
         a1 = min(s + search_range + 1, n)
-        if a0 >= a1 or b > 1:  # a basis outside {0, 1} matches no pulse
+        if a0 >= a1:
             continue
         c0 = a0 - (s - search_range)
         c1 = c0 + (a1 - a0)
         xs, hits = x[: a1 - a0], hit[: a1 - a0]
-        # a bit above 1 agrees with no state, and code 4 | b keeps the basis
-        np.bitwise_xor(states[a0:a1], min(v, 2) << 1 | b, out=xs)
+        np.bitwise_xor(states[a0:a1], v, out=xs)
         np.equal(xs, 0, out=hits)
         np.add(agree8[c0:c1], hits.view(np.uint8), out=agree8[c0:c1])
         np.bitwise_and(xs, 1, out=xs)
@@ -436,26 +431,26 @@ def _offset_scores(
 
 def sparse_align(
     subset_slots: np.ndarray,
-    subset_bases: np.ndarray,
-    subset_bits: np.ndarray,
+    subset_states: np.ndarray,
     alice: AliceRecord,
     search_range: int,
 ) -> AlignmentResult:
     """Find the slot offset mapping Bob's grid onto Alice's pulse indices.
 
-    Scores every offset in [-search_range, search_range] by the fraction
-    of basis-matched revealed bits that agree with Alice's record; the
-    true offset stands far above the ~0.5 scored by uncorrelated data.
+    Each revealed event is its slot and its state index in 0..3 (Bob's
+    detector index, ``bit << 1 | basis`` as in Alice's record). Scores
+    every offset in [-search_range, search_range] by the fraction of
+    basis-matched revealed bits that agree with Alice's record; the true
+    offset stands far above the ~0.5 scored by uncorrelated data.
     """
     subset_slots = np.asarray(subset_slots, dtype=np.int64)
-    subset_bases = np.asarray(subset_bases, dtype=np.uint8)
-    subset_bits = np.asarray(subset_bits, dtype=np.uint8)
+    subset_states = np.asarray(subset_states, dtype=np.uint8)
     if subset_slots.size < MIN_ALIGNMENT_SUBSET:
         raise InsufficientData(
             f"alignment subset has {subset_slots.size} events, need {MIN_ALIGNMENT_SUBSET}"
         )
 
-    scores = _offset_scores(subset_slots, subset_bases, subset_bits, alice, search_range)
+    scores = _offset_scores(subset_slots, subset_states, alice, search_range)
     best = int(np.argmax(scores))
     best_score = float(scores[best])
     # a tie at the top makes the runner-up equal the best

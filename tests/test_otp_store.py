@@ -271,8 +271,10 @@ def _patched(raw, pos, data):
         (lambda raw: _patched(raw, 8, struct.pack("<H", 2)), "bad magic or version"),
         # consumed_offset changed without its checksum
         (lambda raw: _patched(raw, 20, struct.pack("<Q", 8)), "failed its checksum"),
+        # a create cut short inside the pad region
+        (lambda raw: raw[:-60], "shorter than its ledger and pad"),
     ],
-    ids=["truncated", "magic", "version", "crc"],
+    ids=["truncated", "magic", "version", "crc", "short-pad"],
 )
 def test_damaged_header_is_a_storage_failure_that_leaves_the_file(tmp_path, damage, message):
     with make_store(tmp_path):

@@ -323,6 +323,24 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     assert _sha256(tmp_path / "hist.csv") == PHASE_HIST_SHA256
 
 
+def test_cli_run_with_a_bad_phase_hist_path_spends_no_pad(tmp_path):
+    pad = tmp_path / "pad.otp"
+    assert main(["otp", "init", "--otp", str(pad), "--size", "4096"]) == 0
+    out = tmp_path / "run.csv"
+    argv = ["run", "--duration", "0.3", "--otp", str(pad), "--out", str(out)]
+    with pytest.raises(FileNotFoundError):
+        main(argv + ["--phase-hist", str(tmp_path / "missing" / "h.csv")])
+    with OtpStore(pad) as store:
+        assert store.consumed_offset == 0
+    assert not out.exists()
+
+
+def test_cli_run_that_ends_before_the_lock_leaves_an_empty_phase_hist(tmp_path):
+    hist = tmp_path / "h.csv"
+    assert main(["run", "--duration", "0.001", "--phase-hist", str(hist)]) == 1
+    assert hist.read_bytes() == b""
+
+
 @pytest.mark.parametrize(
     "argv",
     [

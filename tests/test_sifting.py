@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from qkdsim.errors import QberAboveThreshold
+from qkdsim.errors import InsufficientData, QberAboveThreshold
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     add_background,
@@ -328,7 +328,7 @@ def test_estimate_error_aborts_at_the_threshold_reconcile_rejects():
 def test_estimate_error_requires_minimum_length():
     bits = np.ones(100, dtype=np.uint8)
     slots = np.arange(100, dtype=np.int64)
-    with pytest.raises(ValueError):
+    with pytest.raises(InsufficientData):
         estimate_error(
             SiftedKey(bits.copy(), slots.copy(), 100),
             SiftedKey(bits.copy(), slots.copy(), 100),
@@ -340,9 +340,8 @@ def test_estimate_error_requires_minimum_length():
 def test_channel_logs_and_frames_messages():
     channel = ClassicalChannel()
     frame = channel.send("bob", MSG_BASIS_ANNOUNCE, b"\x01\x02\x03")
-    msg_type, payload = ClassicalChannel.parse_frame(frame)
-    assert msg_type == MSG_BASIS_ANNOUNCE
-    assert payload == b"\x01\x02\x03"
+    assert struct.unpack(">BI", frame[:5]) == (MSG_BASIS_ANNOUNCE, 3)
+    assert frame[5:] == b"\x01\x02\x03"
     assert channel.bytes_logged == 8
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qkdsim.errors import AmbiguousAlignment, LockLost, NoJumpFound
+from qkdsim.errors import AmbiguousAlignment, InsufficientData, LockLost, NoJumpFound
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     TagStream,
@@ -414,7 +414,7 @@ def test_sparse_align_perfect_subset():
     rec = generate_alice_record(100_000, seed("al0"))
     rng = np.random.default_rng(5)
     slots, bases, bits = aligned_subset(rec, 300, 0, 0.0, rng)
-    result = sparse_align(slots, bases, bits, rec, search_range=2000)
+    result = sparse_align(slots, bits << 1 | bases, rec, search_range=2000)
     assert result.start_offset_pulses == 0
     assert result.match_score == 1.0
 
@@ -423,7 +423,7 @@ def test_sparse_align_known_offset_with_errors():
     rec = generate_alice_record(200_000, seed("al1"))
     rng = np.random.default_rng(6)
     slots, bases, bits = aligned_subset(rec, 400, 1234, 0.05, rng)
-    result = sparse_align(slots, bases, bits, rec, search_range=5000)
+    result = sparse_align(slots, bits << 1 | bases, rec, search_range=5000)
     assert result.start_offset_pulses == 1234
     assert result.match_score == pytest.approx(0.95, abs=0.04)
 
@@ -435,15 +435,13 @@ def test_sparse_align_uncorrelated_subset_is_ambiguous():
     bases = rng.integers(0, 2, 300).astype(np.uint8)
     bits = rng.integers(0, 2, 300).astype(np.uint8)
     with pytest.raises(AmbiguousAlignment):
-        sparse_align(slots, bases, bits, rec, search_range=5000)
+        sparse_align(slots, bits << 1 | bases, rec, search_range=5000)
 
 
 def test_sparse_align_enforces_minimum_subset():
     rec = generate_alice_record(10_000, seed("al3"))
-    with pytest.raises(ValueError):
-        sparse_align(
-            np.arange(100), np.zeros(100, np.uint8), np.zeros(100, np.uint8), rec, 100_000
-        )
+    with pytest.raises(InsufficientData):
+        sparse_align(np.arange(100), np.zeros(100, np.uint8), rec, 100_000)
 
 
 # -- alignment scores against the chunked reference ---------------------------
@@ -485,15 +483,12 @@ def pipeline_subset(background_cps, label, duration_s=0.3, k=400):
 
 
 def assert_scores_match(slots, bases, bits, rec, search_range):
-    args = (
-        np.asarray(slots, dtype=np.int64),
-        np.asarray(bases, dtype=np.uint8),
-        np.asarray(bits, dtype=np.uint8),
-        rec,
-        search_range,
-    )
-    reference = _reference_scores(*args)
-    assert _offset_scores(*args).tobytes() == reference.tobytes()
+    slots = np.asarray(slots, dtype=np.int64)
+    bases = np.asarray(bases, dtype=np.uint8)
+    bits = np.asarray(bits, dtype=np.uint8)
+    reference = _reference_scores(slots, bases, bits, rec, search_range)
+    scores = _offset_scores(slots, bits << 1 | bases, rec, search_range)
+    assert scores.tobytes() == reference.tobytes()
     return reference
 
 
@@ -537,17 +532,6 @@ def test_offset_scores_match_reference_across_the_counter_flush(n_events):
     assert int(np.argmax(scores)) - 3_000 == 321
 
 
-def test_offset_scores_match_reference_with_out_of_range_bases_and_bits():
-    rec = generate_alice_record(30_000, seed("ref-odd"))
-    rng = np.random.default_rng(14)
-    slots, bases, bits = aligned_subset(rec, 400, -50, 0.0, rng)
-    bases[::7] = 2  # a basis of 2 matches nothing
-    bases[3::11] = 255
-    bits[5::13] = 2  # a bit of 2 matches the basis but agrees with no state
-    bits[6::17] = 255
-    assert_scores_match(slots, bases, bits, rec, 2_000)
-
-
 def test_offset_scores_match_reference_with_repeated_slots():
     rec = generate_alice_record(30_000, seed("ref-rep"))
     rng = np.random.default_rng(15)
@@ -570,7 +554,7 @@ def test_sparse_align_runner_up_is_the_second_highest_score():
     rec = generate_alice_record(100_000, seed("al-runner"))
     rng = np.random.default_rng(17)
     slots, bases, bits = aligned_subset(rec, 400, 777, 0.05, rng)
-    result = sparse_align(slots, bases, bits, rec, search_range=5000)
+    result = sparse_align(slots, bits << 1 | bases, rec, search_range=5000)
     reference = _reference_scores(
         np.asarray(slots, np.int64), bases, bits, rec, 5000
     )
@@ -589,8 +573,8 @@ def test_sparse_align_raises_on_a_planted_tie_at_the_top():
     slots = idx - 200
     bases = state_bases(rec.states)[idx]
     bits = state_bits(rec.states)[idx]
-    scores = _offset_scores(slots, bases, bits, rec, 1_500)
+    scores = _offset_scores(slots, bits << 1 | bases, rec, 1_500)
     top = np.flatnonzero(scores == scores.max())
     assert top.tolist() == [700, 1700, 2700]  # offsets -800, 200 and 1200
     with pytest.raises(AmbiguousAlignment, match="1.000 vs 1.000"):
-        sparse_align(slots, bases, bits, rec, search_range=1_500)
+        sparse_align(slots, bits << 1 | bases, rec, search_range=1_500)
