@@ -15,6 +15,7 @@ also one that a flag overrides.
 import argparse
 import dataclasses
 import sys
+from contextlib import nullcontext
 
 from qkdsim.otp_store import OtpStore
 from qkdsim.params import SystemParams
@@ -109,12 +110,10 @@ def _make_config(args) -> RunConfig:
 
 def _cmd_run(args) -> int:
     cfg = _make_config(args)
-    if args.phase_hist:
-        open(args.phase_hist, "w").close()  # a bad path fails before the pad or CSV is touched
-    with open_outputs(cfg) as (otp, emit):
-        report = run_once(
-            cfg.params, cfg.duration_s, cfg.master_seed, otp=otp, phase_hist_path=args.phase_hist
-        )
+    # opened first, so a bad path fails before the pad or CSV is touched
+    hist = open(args.phase_hist, "w", newline="") if args.phase_hist else nullcontext()
+    with hist as fh, open_outputs(cfg) as (otp, emit):
+        report = run_once(cfg.params, cfg.duration_s, cfg.master_seed, otp=otp, phase_hist=fh)
         emit(report)
     if report.succeeded:
         print(

@@ -1,7 +1,7 @@
 """Persistent one-time-pad store with monotone consumption and top-up.
 
 The shared secret is consumable: every factor-graph seed, privacy-
-amplification seed and authentication exchange burns pad bytes that are
+amplification seed and authentication reserve burns pad bytes that are
 never served twice, and successful runs append fresh key material.
 
 File layout (all integers little-endian):

@@ -15,8 +15,8 @@ that rate on each of the two physical detectors feeding a line.
 Seeding: the master seed fans out through labeled derivation per stage
 and per sweep point, so identical master seeds give byte-identical CSVs.
 When an OTP store is attached, the factor-graph and privacy-amplification
-seeds come out of the pad (32 bytes each, plus a 32-byte authentication
-budget per session) and the finished key tops the pad back up.
+seeds come out of the pad (32 bytes each, plus 32 per session reserved for
+authentication, which no frame has yet) and the finished key refills it.
 
 Settings shared by every run (lead-in, alignment subset and search
 range) are module constants; ``open_outputs`` opens and closes the pad
@@ -29,6 +29,7 @@ import math
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
+from typing import TextIO
 
 import numpy as np
 
@@ -179,13 +180,13 @@ def run_once(
     label: str = "run",
     rep: int = 0,
     otp: OtpStore | None = None,
-    phase_hist_path: str | None = None,
+    phase_hist: TextIO | None = None,
 ) -> RunReport:
     """Execute one full key exchange and report the yield.
 
     With ``otp`` the session's seeds come out of the pad and the final
-    key tops it up; ``phase_hist_path`` receives the clock lock's
-    residual-phase histogram.
+    key tops it up; the clock lock's residual-phase histogram goes to
+    ``phase_hist``, a text file the caller has opened.
 
     Protocol-stage failures (no start jump, lost lock, ambiguous
     alignment, too little data, error rate above threshold, decode
@@ -226,8 +227,8 @@ def run_once(
 
         stage = "lock_clock"
         gated = lock_clock(stream, start, params)
-        if phase_hist_path:
-            gated.write_phase_histogram(phase_hist_path)
+        if phase_hist is not None:
+            gated.write_phase_histogram(phase_hist)
 
         stage = "sparse_align"
         rng = np_rng(seed("subset"))

@@ -6,11 +6,11 @@ where Bob registered more than one detector are thrown away whole: their
 bit value is ambiguous. Bits revealed for alignment or error estimation
 never re-enter a key.
 
-Channel framing (public, authenticated by OTP budget elsewhere): every
-message is  u8 type | u32 big-endian payload length | payload.  Payload
-integers are little-endian numpy scalars; bit arrays travel one byte per
-bit. Message types: 1 basis-announce, 2 match-reply, 3 subset-reveal,
-4 syndrome, 5 PA-seed reference, 6 key-hash.
+Channel framing (public, not authenticated yet; each session spends 32 pad
+bytes reserved for that): every message is  u8 type | u32 big-endian
+payload length | payload.  Payload integers are little-endian numpy
+scalars; bit arrays travel one byte per bit. Message types: 1 basis-announce,
+2 match-reply, 3 subset-reveal, 4 syndrome, 5 PA-seed reference, 6 key-hash.
 """
 
 import hashlib

@@ -58,14 +58,13 @@ class GatedEvents:
     def n_events(self) -> int:
         return int(self.slots.size)
 
-    def write_phase_histogram(self, path) -> None:
-        """Residual-phase histogram as CSV (phase_ps, count): the two-peak
-        signature of the direct and delayed channels."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["phase_ps", "count"])
-            for i, count in enumerate(self.phase_histogram):
-                writer.writerow([int(round((i + 0.5) * self.phase_bin_s * 1e12)), int(count)])
+    def write_phase_histogram(self, fh) -> None:
+        """Residual-phase histogram as CSV (phase_ps, count) to the open file
+        ``fh``: the two-peak signature of the direct and delayed channels."""
+        writer = csv.writer(fh)
+        writer.writerow(["phase_ps", "count"])
+        for i, count in enumerate(self.phase_histogram):
+            writer.writerow([int(round((i + 0.5) * self.phase_bin_s * 1e12)), int(count)])
 
 
 @dataclass
@@ -166,12 +165,6 @@ def _phase_bins(phases: np.ndarray, period: float, gate: float):
     return np.minimum((phases / binw).astype(np.int64), nbins - 1), nbins, binw
 
 
-def _phase_histogram(phases: np.ndarray, period: float, gate: float):
-    """Counts of phases over ``_phase_bins``; returns (counts, bin width)."""
-    bins, nbins, binw = _phase_bins(phases, period, gate)
-    return np.bincount(bins, minlength=nbins), binw
-
-
 def _rolling_window_sum(hist: np.ndarray, width_bins: int) -> np.ndarray:
     padded = np.concatenate([hist, hist[:width_bins]])
     c = np.concatenate([[0], np.cumsum(padded)])
@@ -258,7 +251,9 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
 
     Uses the pulse period and gate of ``params``. ``stream.times_s`` must
     be ascending, as ``multiplex_two_channel`` and ``TagStream.from_text``
-    produce it, so every window of it is one slice.
+    produce it, so every window of it is one slice. The phase is estimated
+    per drift interval, each from the last; gating, slotting and the
+    residual-phase histogram are then one pass over the whole stream.
     """
     period, gate = params.pulse_period_s, params.gate_width_s
     base = int(np.searchsorted(stream.times_s, start_s))  # stream index of t[0]
@@ -283,57 +278,60 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
         lo, hi = np.searchsorted(t, (lock_at + delta - w, lock_at + delta))
         if hi - lo < MIN_TAGS_PER_INTERVAL:
             continue
-        probe = t[lo:hi]
-        tc = tau0 + (probe - tau0) / (1.0 + alpha)
+        tc = tau0 + (t[lo:hi] - tau0) / (1.0 + alpha)
         phase1, ratio1, _ = _peak_phase(tc, period, gate)
         if ratio1 < MIN_PEAK_RATIO:
             continue
-        baseline = float(probe.mean()) - tau0
+        baseline = float(t[lo:hi].mean()) - tau0
         alpha += _circ_diff(phase1, phase0, period) / baseline
 
-    # Tracking: re-estimate the phase every drift interval, gate with it,
-    # and keep the unwrapped phase series for the final period refit.
-    histogram, binw = _phase_histogram(np.empty(0), period, gate)
-    phase_track = phase0
-    track_times, track_phases = [], []
-    out_slots, out_dets, out_idx = [], [], []
-
-    # t is sorted, so the intervals [k D, (k + 1) D) are consecutive slices
-    # of it; each cut is computed once, so every tag lies in one interval
+    # Tracking: one phase per drift interval [k D, (k + 1) D), unwrapped from
+    # the last, feeds the period refit. t is sorted, so the intervals are
+    # consecutive slices; each cut is computed once, so a tag lies in one.
     n_intervals = int(np.ceil(horizon / DRIFT_UPDATE_INTERVAL_S)) or 1
     cuts = np.searchsorted(t, np.arange(n_intervals + 1) * DRIFT_UPDATE_INTERVAL_S)
     cuts[-1] = t.size
+    tc = tau0 + (t - tau0) / (1.0 + alpha)
+    del t
+    phase_track = phase0
+    track_times, track_phases, interval_phases = [], [], []
     for k in range(n_intervals):
         first, end = int(cuts[k]), int(cuts[k + 1])
-        m = slice(first, end)
-        tc = tau0 + (t[m] - tau0) / (1.0 + alpha)
         if end - first >= MIN_TAGS_PER_INTERVAL:
-            phase_k, ratio_k, _ = _peak_phase(tc, period, gate)
+            phase_k, ratio_k, _ = _peak_phase(tc[first:end], period, gate)
             if ratio_k < MIN_PEAK_RATIO:
                 raise LockLost(f"interval {k}: peak ratio {ratio_k:.2f} below {MIN_PEAK_RATIO}")
             phase_track = phase_track + _circ_diff(phase_k, phase_track % period, period)
-            track_times.append(float(tc.mean()))
+            track_times.append(float(tc[first:end].mean()))
             track_phases.append(phase_track)
-        # tags with few neighbours coast on the last phase estimate
-        # a tag within half a gate of the direct window or of the window one
-        # demux delay later is kept; direct wins a tie
-        rel = tc - phase_track
-        x = _circ_diff(rel, 0.0, period)
-        direct = np.abs(x) <= gate / 2.0
-        # x lies in [-period/2, period/2), so |x - 40 ns| is under one period
-        # and its circular distance is the nearer of it and its complement
-        y = np.abs(x - DEMUX_DELAY_S)
-        delayed = ~direct & (np.minimum(y, period - y) <= gate / 2.0)
-        kept = np.flatnonzero(direct | delayed)
-        delayed = delayed[kept]
-        out_slots.append(np.round((rel[kept] - DEMUX_DELAY_S * delayed) / period).astype(np.int64))
-        out_dets.append(lines[m][kept] | delayed.view(np.uint8) << 1)
-        out_idx.append(base + first + kept)
-        histogram += _phase_histogram((tc - (phase_track - phase0)) % period, period, gate)[0]
+        # an interval with few tags coasts on the last phase estimate
+        interval_phases.append(phase_track)
 
-    slots = np.concatenate(out_slots)
-    dets = np.concatenate(out_dets)
-    idx = np.concatenate(out_idx)
+    # One pass, each tag against its interval's phase; each array goes at its last use.
+    phase = np.repeat(interval_phases, np.diff(cuts))
+    residual = (tc - (phase - phase0)) % period
+    rel = tc - phase
+    del tc, phase
+    bins, nbins, binw = _phase_bins(residual, period, gate)
+    histogram = np.bincount(bins, minlength=nbins)
+    del residual, bins
+    # a tag within half a gate of the direct window or of the window one
+    # demux delay later is kept; direct wins a tie
+    x = _circ_diff(rel, 0.0, period)
+    direct = np.abs(x) <= gate / 2.0
+    # x lies in [-period/2, period/2), so |x - 40 ns| is under one period
+    # and its circular distance is the nearer of it and its complement
+    y = np.abs(x - DEMUX_DELAY_S)
+    del x
+    delayed = ~direct & ((y <= gate / 2.0) | (period - y <= gate / 2.0))
+    del y
+    kept = np.flatnonzero(direct | delayed)
+    delayed = delayed[kept]
+    slots = np.round((rel[kept] - DEMUX_DELAY_S * delayed) / period).astype(np.int64)
+    del rel, direct
+    dets = lines[kept] | delayed.view(np.uint8) << 1
+    idx = base + kept
+    del kept, delayed
     # anchor slot numbers at the lock point: however far off the detected
     # start was, the offset alignment must search stays bounded by the
     # bootstrap slide, not by start-detection accuracy

@@ -323,6 +323,17 @@ def test_cli_run_writes_csv(tmp_path, capsys):
     assert _sha256(tmp_path / "hist.csv") == PHASE_HIST_SHA256
 
 
+def test_store_backed_run_once_writes_the_phase_histogram_to_an_open_file(tmp_path):
+    # the histogram comes from the photonics seeds alone, not from the pad
+    hist = tmp_path / "hist.csv"
+    with runner.seeded_store(tmp_path / "p.otp", bytes(32), 4096) as store:
+        with open(hist, "w", newline="") as fh:
+            report = run_once(SystemParams(), 0.2, parse_seed("0baf"), otp=store, phase_hist=fh)
+        assert store.consumed_offset == 96
+    assert report.succeeded
+    assert _sha256(hist) == PHASE_HIST_SHA256
+
+
 def test_cli_run_with_a_bad_phase_hist_path_spends_no_pad(tmp_path):
     pad = tmp_path / "pad.otp"
     assert main(["otp", "init", "--otp", str(pad), "--size", "4096"]) == 0

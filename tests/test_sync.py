@@ -1,6 +1,7 @@
 """Start detection, clock lock, gating and sparse alignment."""
 
 import hashlib
+import tracemalloc
 from bisect import insort
 from dataclasses import replace
 
@@ -346,6 +347,57 @@ def test_lock_clock_histograms_a_tag_on_an_interval_boundary_once(boundary_s):
     assert lock_clock(extra, 0.0, params).phase_histogram.sum() == before + 1
 
 
+# Known answers of lock_clock over 1 s at 10 ppm skew with two gaps
+# mid-stream: no tags in the drift interval [0.3, 0.4) s after the start
+# and 12 (below MIN_TAGS_PER_INTERVAL) in [0.6, 0.7) s, each followed by
+# tracked intervals. background -> (gated events, recovered period,
+# SHA-256 as above), recorded before gating became one pass over the
+# stream.
+GAP_LOCK_KNOWN_ANSWERS = {
+    0.0: (26224, 2.000019999929964e-07,
+          "9d60a4d1c4fb5f6c3f91ca52c2522fa276663f2348448b39f59f9200949d503f"),
+    25000.0: (28464, 2.0000199997256505e-07,
+              "a33d9b15e4eb0c27167d1e643741628ba0c8c43cc56a73cfc95f41f291510ed6"),
+}
+
+
+@pytest.mark.parametrize("background_cps", sorted(GAP_LOCK_KNOWN_ANSWERS))
+def test_lock_clock_known_answer_across_an_empty_and_a_sparse_interval(
+    reference_sampler, background_cps
+):
+    stream, _ = signal_stream(
+        f"gap{background_cps:g}", n_pulses=5_000_000, background_cps=background_cps,
+        skew_ppm=10.0, sample=reference_sampler,
+    )
+    start = detect_start(stream)
+    t = stream.times_s - start
+    drop = (t >= 0.3) & (t < 0.4)
+    drop[np.flatnonzero((t >= 0.6) & (t < 0.7))[12:]] = True
+    gapped = TagStream(stream.times_s[~drop], stream.lines[~drop])
+    gated = lock_clock(gapped, start, SystemParams())
+    digest = hashlib.sha256()
+    for a in (gated.slots, gated.detectors, gated.tag_indices, gated.phase_histogram):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    got = (gated.n_events, float(gated.recovered_period_s), digest.hexdigest())
+    assert got == GAP_LOCK_KNOWN_ANSWERS[background_cps]
+
+
+def test_lock_clock_memory_stays_small():
+    # about 6.4 MB with each whole-stream temporary freed at its last use;
+    # one of them (or a view of it) kept alive longer takes it past 8 MB,
+    # and all of them kept to the end of the call near 16 MB
+    stream, _ = signal_stream("mem", n_pulses=5_000_000, background_cps=80000.0, skew_ppm=10.0)
+    start = detect_start(stream)
+    lock_clock(stream, start, SystemParams())  # first-call allocations stay out of the peak
+    tracemalloc.start()
+    try:
+        lock_clock(stream, start, SystemParams())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7.5e6
+
+
 def test_lock_clock_lost_when_signal_stops():
     params = SystemParams(background_rate_cps=30000.0)
     n_pulses = 1_000_000  # 0.2 s of signal, then 0.3 s of bare background
@@ -385,7 +437,8 @@ def test_phase_histogram_shows_two_peaks(tmp_path):
     stream, _ = signal_stream("hist", background_cps=5000.0, skew_ppm=10.0)
     gated = lock_clock(stream, detect_start(stream), SystemParams())
     path = tmp_path / "phases.csv"
-    gated.write_phase_histogram(path)
+    with open(path, "w", newline="") as fh:
+        gated.write_phase_histogram(fh)
     rows = path.read_text().strip().splitlines()
     assert rows[0] == "phase_ps,count"
     counts = np.array([int(r.split(",")[1]) for r in rows[1:]])
