@@ -1,4 +1,11 @@
-"""Exception types raised by the simulation and protocol stages."""
+"""Failures that a run's own data can cause.
+
+Every class here names a ``failure_kind`` that ``run_once`` writes into a
+row, so a sweep keeps the outcome and the pad only takes finished keys.
+The base class itself is never raised. An argument that no run produces
+(a wrong length, a rate outside (0, 1), a bad setting) raises ValueError
+instead, so a bug in the pipeline cannot end as a quiet row.
+"""
 
 
 class QkdError(Exception):
@@ -25,24 +32,12 @@ class QberAboveThreshold(QkdError):
     """Estimated error rate above the abort threshold; eavesdropping assumed."""
 
 
-class RateInfeasible(QkdError):
-    """Requested code rate gives no valid check count."""
-
-
-class LengthMismatch(QkdError):
-    """Key length does not match the factor graph's variable count."""
-
-
 class DecodeFailure(QkdError):
     """Belief propagation did not reach the target syndrome."""
 
 
 class HashMismatch(QkdError):
     """Corrected keys passed the syndrome but fail the hash exchange."""
-
-
-class LengthInvalid(QkdError):
-    """Requested output length outside [0, input length]."""
 
 
 class PadDepleted(QkdError):

@@ -241,6 +241,9 @@ def add_background(
 ) -> DetectionEvents:
     """Merge in a homogeneous Poisson background on every detector.
 
+    The background covers [0, duration_s); a signal event past its end,
+    such as a last pulse's jitter tail, is kept as it is.
+
     The rate per physical detector is ``params.background_rate_cps / 2``:
     the configured figure is the per-line rate after two detectors are
     multiplexed onto each input, so a physical rate r is stated as
@@ -250,8 +253,6 @@ def add_background(
     ascending time order; sorting a run changes none of its draws.
     """
     rate_per_detector_cps = params.background_rate_cps / 2.0
-    if events.n_events and events.times_s.max() > duration_s + 1e-9:
-        raise ValueError("duration does not cover the existing event span")
     if rate_per_detector_cps == 0:
         return events
 

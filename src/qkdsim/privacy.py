@@ -12,7 +12,6 @@ import math
 
 import numpy as np
 
-from qkdsim.errors import LengthInvalid
 from qkdsim.seeds import HashStream
 
 
@@ -90,7 +89,7 @@ def toeplitz_hash(key_bits: np.ndarray, out_len: int, diagonal_bits: np.ndarray)
         return np.empty(0, dtype=np.uint8)
     d = np.asarray(diagonal_bits, dtype=np.float64)
     if d.size != n + m - 1:
-        raise LengthInvalid(f"need {n + m - 1} diagonal bits, got {d.size}")
+        raise ValueError(f"need {n + m - 1} diagonal bits, got {d.size}")
     if n == 0:  # an empty key maps to the zero vector
         return np.zeros(m, dtype=np.uint8)
     x = np.asarray(key_bits, dtype=np.float64)
@@ -108,8 +107,6 @@ def compress(key_bits: np.ndarray, out_len: int, seed: bytes) -> np.ndarray:
     """
     key_bits = np.asarray(key_bits, dtype=np.uint8)
     if not 0 <= out_len <= key_bits.size:
-        raise LengthInvalid(
-            f"output length {out_len} outside [0, {key_bits.size}]"
-        )
+        raise ValueError(f"output length {out_len} outside [0, {key_bits.size}]")
     diag = HashStream(seed).bits(key_bits.size + out_len - 1)
     return toeplitz_hash(key_bits, out_len, diag)

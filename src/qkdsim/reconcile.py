@@ -21,13 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qkdsim.errors import (
-    DecodeFailure,
-    HashMismatch,
-    LengthMismatch,
-    QberAboveThreshold,
-    RateInfeasible,
-)
+from qkdsim.errors import DecodeFailure, HashMismatch, QberAboveThreshold
 from qkdsim.seeds import HashStream, derive_seed
 from qkdsim.sifting import MSG_KEY_HASH, QBER_ABORT_THRESHOLD, ClassicalChannel, log_syndrome
 
@@ -125,10 +119,10 @@ def build_factor_graph(n: int, target_rate: float, seed: bytes) -> FactorGraph:
     if n < MIN_BLOCK_BITS:
         raise ValueError(f"block too short: {n} < {MIN_BLOCK_BITS}")
     if not 0 < target_rate < 1:
-        raise RateInfeasible(f"target rate {target_rate} outside (0, 1)")
+        raise ValueError(f"target rate {target_rate} outside (0, 1)")
     m = int(round(n * (1.0 - target_rate)))
     if m < VARIABLE_DEGREE + 1 or m >= n:
-        raise RateInfeasible(f"rate {target_rate} gives {m} checks for {n} bits")
+        raise ValueError(f"rate {target_rate} gives {m} checks for {n} bits")
 
     # Fisher-Yates over edge slots with the draws below_many gives for the
     # bounds i + 1, i = 3n - 1, ..., 1. Slot q starts out holding variable
@@ -201,7 +195,7 @@ def compute_syndrome(key_bits: np.ndarray, graph: FactorGraph) -> np.ndarray:
     every check, one uint8 per check."""
     key_bits = np.asarray(key_bits)
     if key_bits.size != graph.n:
-        raise LengthMismatch(f"key has {key_bits.size} bits, graph expects {graph.n}")
+        raise ValueError(f"key has {key_bits.size} bits, graph expects {graph.n}")
     return _syndrome_of(key_bits, graph)
 
 
@@ -227,9 +221,9 @@ def decode(
     """
     bob_key = np.asarray(bob_key, dtype=np.uint8)
     if bob_key.size != graph.n:
-        raise LengthMismatch(f"key has {bob_key.size} bits, graph expects {graph.n}")
+        raise ValueError(f"key has {bob_key.size} bits, graph expects {graph.n}")
     if np.size(syndrome) != graph.m:
-        raise LengthMismatch(f"syndrome has {np.size(syndrome)} bits, graph has {graph.m} checks")
+        raise ValueError(f"syndrome has {np.size(syndrome)} bits, graph has {graph.m} checks")
     if not 0 <= error_rate < 0.5:
         raise ValueError("error rate must lie in [0, 0.5)")
 
@@ -286,7 +280,7 @@ def reconcile_keys(
     alice_bits = np.asarray(alice_bits, dtype=np.uint8)
     bob_bits = np.asarray(bob_bits, dtype=np.uint8)
     if alice_bits.size != bob_bits.size:
-        raise LengthMismatch("key lengths differ")
+        raise ValueError("key lengths differ")
 
     rate = rate_for_error(error_estimate, subset_size)
     corrected = []

@@ -34,7 +34,7 @@ from typing import TextIO
 import numpy as np
 
 from qkdsim import privacy, rate_model
-from qkdsim.errors import QkdError
+from qkdsim.errors import PadDepleted, QkdError
 from qkdsim.otp_store import OtpStore, session_budget
 from qkdsim.params import SystemParams
 from qkdsim.photonics import (
@@ -44,7 +44,7 @@ from qkdsim.photonics import (
     simulate_detections,
 )
 from qkdsim.reconcile import reconcile_keys
-from qkdsim.seeds import derive_seed, np_rng
+from qkdsim.seeds import SEED_BYTES, derive_seed, np_rng
 from qkdsim.sifting import (
     SUBSET_FRACTION,
     ClassicalChannel,
@@ -55,8 +55,7 @@ from qkdsim.sifting import (
 from qkdsim.sync import detect_start, lock_clock, sparse_align
 
 AUTH_BYTES_PER_SESSION = 32
-SEED_BYTES_PER_PURPOSE = 32
-SESSION_PAD_COST = AUTH_BYTES_PER_SESSION + 2 * SEED_BYTES_PER_PURPOSE
+SESSION_PAD_COST = AUTH_BYTES_PER_SESSION + 2 * SEED_BYTES
 
 LEAD_IN_S = 0.05  # idle time before the first pulse, for start detection
 # 400 revealed events keep the true-offset score clear of the extreme
@@ -190,7 +189,7 @@ def run_once(
 
     Protocol-stage failures (no start jump, lost lock, ambiguous
     alignment, too little data, error rate above threshold, decode
-    failure, depleted pad) come back as a report with
+    failure, depleted pad, failed pad write) come back as a report with
     ``failure_stage``/``failure_kind`` set. A duration spanning no pulse
     raises ValueError first; ``SystemParams`` has already rejected a gate
     or a pulse period the receiver cannot use.
@@ -205,11 +204,11 @@ def run_once(
     try:
         if otp is not None:
             if not session_budget(otp, SESSION_PAD_COST):
-                raise QkdError("pad below the per-attempt reserve")
+                raise PadDepleted("pad below the per-attempt reserve")
             otp.consume(AUTH_BYTES_PER_SESSION, "auth")
-            fg_seed = otp.consume(SEED_BYTES_PER_PURPOSE, "fg_seed")
+            fg_seed = otp.consume(SEED_BYTES, "fg_seed")
             pa_offset = otp.consumed_offset
-            pa_seed = otp.consume(SEED_BYTES_PER_PURPOSE, "pa_seed")
+            pa_seed = otp.consume(SEED_BYTES, "pa_seed")
         else:
             fg_seed = seed("fg")
             pa_seed = seed("pa")
@@ -268,7 +267,7 @@ def run_once(
             alice_key.n_rec, alice_key.n_err, error, ec_efficiency, b, params.safety_margin_bits
         )
         n_fin = min(bound, int(alice_key.bits.size))
-        log_pa_seed_reference(channel, pa_offset, SEED_BYTES_PER_PURPOSE)
+        log_pa_seed_reference(channel, pa_offset, SEED_BYTES)
         final_alice = privacy.compress(alice_key.bits, n_fin, pa_seed)
         final_bob = privacy.compress(bob_corrected, n_fin, pa_seed)
         report.final_keys_match = bool(np.array_equal(final_alice, final_bob))

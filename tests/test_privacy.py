@@ -6,7 +6,6 @@ import math
 import numpy as np
 import pytest
 
-from qkdsim.errors import LengthInvalid
 from qkdsim.privacy import (
     compress,
     final_length,
@@ -113,7 +112,7 @@ def test_compress_zero_length():
 
 def test_compress_rejects_bad_length():
     key = np.ones(10, dtype=np.uint8)
-    with pytest.raises(LengthInvalid):
+    with pytest.raises(ValueError, match=r"output length 11 outside \[0, 10\]"):
         compress(key, 11, SEED)
 
 
@@ -186,7 +185,7 @@ def test_toeplitz_hash_all_ones_worst_case(n):
 
 
 def test_toeplitz_hash_rejects_wrong_diagonal_length():
-    with pytest.raises(LengthInvalid):
+    with pytest.raises(ValueError, match="need 13 diagonal bits, got 12"):
         toeplitz_hash(np.ones(10, np.uint8), 4, np.ones(12, np.uint8))
 
 

@@ -8,13 +8,7 @@ import pytest
 
 import qkdsim.reconcile as rec
 
-from qkdsim.errors import (
-    DecodeFailure,
-    HashMismatch,
-    LengthMismatch,
-    QberAboveThreshold,
-    RateInfeasible,
-)
+from qkdsim.errors import DecodeFailure, HashMismatch, QberAboveThreshold
 from qkdsim.reconcile import (
     RATE_TABLE,
     build_factor_graph,
@@ -256,9 +250,9 @@ def test_graph_degrees_and_no_duplicate_edges():
 
 
 def test_graph_rejects_infeasible_rate():
-    with pytest.raises(RateInfeasible):
+    with pytest.raises(ValueError, match="rate 0.9999 gives 0 checks for 1024 bits"):
         build_factor_graph(1024, 0.9999, SEED)
-    with pytest.raises(RateInfeasible):
+    with pytest.raises(ValueError, match=r"target rate 1.5 outside \(0, 1\)"):
         build_factor_graph(1024, 1.5, SEED)
 
 
@@ -326,8 +320,10 @@ def test_syndrome_matches_bincount_reference(n, rate, dtype):
 
 def test_syndrome_length_mismatch():
     g = build_factor_graph(512, 0.5, SEED)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match="key has 511 bits, graph expects 512"):
         compute_syndrome(np.zeros(511, dtype=np.uint8), g)
+    with pytest.raises(ValueError, match="key has 511 bits, graph expects 512"):
+        decode(np.zeros(511, dtype=np.uint8), np.zeros(g.m, dtype=np.uint8), g, 0.02)
 
 
 @pytest.mark.parametrize("delta", [-1, 1])
@@ -335,7 +331,7 @@ def test_decode_rejects_a_syndrome_of_the_wrong_length(delta):
     g = build_factor_graph(512, 0.5, SEED)
     key = np.zeros(512, dtype=np.uint8)
     syn = np.zeros(g.m + delta, dtype=np.uint8)
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(ValueError, match=f"syndrome has {g.m + delta} bits, graph has {g.m} checks"):
         decode(key, syn, g, 0.02)
 
 
@@ -401,6 +397,8 @@ def test_reconcile_keys_pads_short_blocks():
     corrected, n_syn, _ = reconcile_keys(alice, bob, 0.02, SEED, None, ClassicalChannel())
     assert corrected.size == 300
     assert np.array_equal(corrected, alice)
+    with pytest.raises(ValueError, match="key lengths differ"):
+        reconcile_keys(alice, bob[:-1], 0.02, SEED, None, ClassicalChannel())
 
 
 def test_reconcile_keys_hash_catches_mismatch(monkeypatch):

@@ -114,8 +114,61 @@ def test_run_once_consumes_and_tops_up_pad(tmp_path):
 def test_run_once_budget_failure(tmp_path):
     store = OtpStore.create(tmp_path / "thin.otp", b"\x42" * 64)
     report = run_once(SystemParams(), 0.2, SEED, label="thin", otp=store)
-    assert report.failure_stage == "budget"
+    assert (report.failure_stage, report.failure_kind) == ("budget", "PadDepleted")
+    assert store.consumed_offset == 0
     store.close()
+
+
+class FaultyStore(OtpStore):
+    """A pad store whose write number ``fail_at`` (from 0) raises OSError."""
+
+    def __init__(self, path, fail_at):
+        self._writes_left = fail_at
+        super().__init__(path)
+
+    def _pwrite(self, pos, data):
+        if self._writes_left <= 0:
+            raise OSError("injected write fault")
+        self._writes_left -= 1
+        super()._pwrite(pos, data)
+
+
+# A session writes 11 times: three consumes (ledger entry, header,
+# zeroing each), then the top-up (pad, header). Write k fails; the row,
+# the consumed offset and the pad left after reopening the store.
+@pytest.mark.parametrize(
+    "fail_at, stage, offset, remaining",
+    [(k, "budget", off, 4096 - off) for k, off in enumerate([0, 32, 32, 32, 64, 64, 64, 96, 96])]
+    + [(9, "privacy", 96, 4000), (10, "privacy", 96, 4000), (11, "", 96, 4113)],
+)
+def test_a_pad_write_fault_at_any_write_ends_the_run_as_a_row(
+    tmp_path, fail_at, stage, offset, remaining
+):
+    path = tmp_path / "pad.otp"
+    runner.seeded_store(path, bytes(32), 4096).close()
+    with FaultyStore(path, fail_at) as store:
+        report = run_once(SystemParams(), 0.2, bytes(32), otp=store)
+    assert report.failure_stage == stage
+    assert report.failure_kind == ("StorageFailure" if stage else "")
+    with OtpStore(path) as reopened:
+        assert (reopened.consumed_offset, reopened.remaining) == (offset, remaining)
+        n_entries = len(reopened.ledger)
+        run_once(SystemParams(), 0.2, bytes(32), label="next", otp=reopened)
+        # the next session's first consume starts where the reopened pad does
+        assert reopened.ledger[n_entries].offset == offset
+
+
+@pytest.mark.parametrize("otp", [False, True])
+def test_jitter_past_the_last_pulse_ends_the_run_as_a_row(tmp_path, otp):
+    # 0.1 ms of jitter, over a thousand pulse periods, leaves no phase to
+    # lock on and carries the last tags past the background's span; the
+    # run still ends as a row, also after the budget stage spent pad
+    store = runner.seeded_store(tmp_path / "pad.otp", bytes(32), 4096) if otp else None
+    params = SystemParams(pulse_jitter_rms_s=1e-4)
+    report = run_once(params, 0.05, bytes([1]) * 32, otp=store)
+    assert (report.failure_stage, report.failure_kind) == ("lock_clock", "LockLost")
+    if store is not None:
+        store.close()
 
 
 @pytest.mark.parametrize("duration_s", [0.005, 0.02, 0.03])
