@@ -76,11 +76,10 @@ class DetectionEvents:
 
 @dataclass
 class TagStream:
-    """Two-line time-tag stream, the wire between the detectors and software.
+    """Two-line time-tag stream: the in-memory hand-off from detectors to software.
 
     ``truth_pulses`` (the emitting pulse, -1 for background) is an
-    oracle-only side table; it is never serialized and protocol code must
-    not read it.
+    oracle-only side table that protocol code must not read.
     """
 
     times_s: np.ndarray
@@ -91,46 +90,6 @@ class TagStream:
     @property
     def n_tags(self) -> int:
         return int(self.times_s.size)
-
-    def to_text(self, path) -> None:
-        """Write "time_ps<TAB>line" rows, 64-bit picoseconds, strictly increasing.
-
-        Sub-picosecond ties are bumped forward by 1 ps; that is the wire
-        format's resolution. Each time becomes max(own, previous + 1), so
-        time - index is a running maximum.
-        """
-        ps = np.round(self.times_s * 1e12).astype(np.int64)
-        i = np.arange(ps.size)
-        ps = np.maximum.accumulate(ps - i) + i
-        with open(path, "w") as fh:
-            for t, line in zip(ps, self.lines):
-                fh.write(f"{t}\t{line}\n")
-
-    @classmethod
-    def from_text(cls, path) -> "TagStream":
-        """Read a tag file; a row that is not two tab-separated integers, a
-        time not above the previous one, or a line other than 0 or 1,
-        raises ValueError naming the row."""
-        ps = []
-        lines = []
-        with open(path) as fh:
-            for rowno, row in enumerate(fh, 1):
-                if not row.strip():
-                    continue
-                try:
-                    t, line = (int(v) for v in row.split("\t"))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{rowno}: {row.strip()!r} is not two tab-separated integers"
-                    ) from None
-                if line not in (0, 1):
-                    raise ValueError(f"{path}:{rowno}: line {line} is not 0 or 1")
-                if ps and t <= ps[-1]:
-                    raise ValueError(f"{path}:{rowno}: time {t} ps does not follow {ps[-1]} ps")
-                ps.append(t)
-                lines.append(line)
-        times = np.asarray(ps, dtype=np.int64) * 1e-12
-        return cls(times_s=times.astype(np.float64), lines=np.asarray(lines, dtype=np.uint8))
 
 
 def _uniform_2bit(rng: np.random.Generator, n: int) -> np.ndarray:

@@ -270,13 +270,14 @@ def run_once(
         log_pa_seed_reference(channel, pa_offset, SEED_BYTES)
         final_alice = privacy.compress(alice_key.bits, n_fin, pa_seed)
         final_bob = privacy.compress(bob_corrected, n_fin, pa_seed)
-        report.final_keys_match = bool(np.array_equal(final_alice, final_bob))
-        report.n_fin = n_fin
-        report.secret_bits_per_s = n_fin / duration_s
-
-        if otp is not None and report.final_keys_match and n_fin >= 8:
+        keys_match = bool(np.array_equal(final_alice, final_bob))
+        if otp is not None and keys_match and n_fin >= 8:
             usable = (n_fin // 8) * 8
             otp.top_up(np.packbits(final_alice[:usable]).tobytes())
+        # only a key that reached the store counts: a failed row yields nothing
+        report.final_keys_match = keys_match
+        report.n_fin = n_fin
+        report.secret_bits_per_s = n_fin / duration_s
     except QkdError as exc:
         report.failure_stage = stage
         report.failure_kind = type(exc).__name__

@@ -250,10 +250,10 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     """Lock to the pulse grid from ``start_s`` onward and gate the stream.
 
     Uses the pulse period and gate of ``params``. ``stream.times_s`` must
-    be ascending, as ``multiplex_two_channel`` and ``TagStream.from_text``
-    produce it, so every window of it is one slice. The phase is estimated
-    per drift interval, each from the last; gating, slotting and the
-    residual-phase histogram are then one pass over the whole stream.
+    be ascending, as ``multiplex_two_channel`` produces it, so every window
+    of it is one slice. The phase is estimated per drift interval, each
+    from the last; gating, slotting and the residual-phase histogram are
+    then one pass over the whole stream.
     """
     period, gate = params.pulse_period_s, params.gate_width_s
     base = int(np.searchsorted(stream.times_s, start_s))  # stream index of t[0]

@@ -10,7 +10,6 @@ from qkdsim.params import SystemParams
 from qkdsim.photonics import (
     DetectionEvents,
     _keep_after_dead_time,
-    TagStream,
     _uniform_2bit,
     add_background,
     generate_alice_record,
@@ -476,79 +475,6 @@ def test_multiplex_deterministic():
         streams.append(multiplex_two_channel(ev, params))
     assert np.array_equal(streams[0].times_s, streams[1].times_s)
     assert np.array_equal(streams[0].lines, streams[1].lines)
-
-
-def test_tagstream_text_roundtrip(tmp_path):
-    params = SystemParams(background_rate_cps=5000.0)
-    rec = generate_alice_record(50_000, seed("io"))
-    ev = simulate_detections(rec, params, seed("io2"))
-    ev = add_background(ev, params, 0.011, seed("io3"))
-    stream = multiplex_two_channel(ev, replace(params, clock_skew_ppm=0.0))
-    path = tmp_path / "tags.txt"
-    stream.to_text(path)
-    loaded = TagStream.from_text(path)
-    assert loaded.n_tags == stream.n_tags
-    assert np.array_equal(loaded.lines, stream.lines)
-    # picosecond quantization, strictly increasing
-    assert np.all(np.diff(loaded.times_s) > 0)
-    assert np.max(np.abs(loaded.times_s - stream.times_s)) < 2e-12
-
-
-def _to_text_reference(stream, path):
-    """The tie-bump loop: raise every clash to its predecessor + 1 ps
-    until the times strictly increase."""
-    ps = np.round(stream.times_s * 1e12).astype(np.int64)
-    while True:
-        clash = ps[1:] <= ps[:-1]
-        if not clash.any():
-            break
-        ps[1:][clash] = ps[:-1][clash] + 1
-    with open(path, "w") as fh:
-        for t, line in zip(ps, stream.lines):
-            fh.write(f"{t}\t{line}\n")
-
-
-@pytest.mark.parametrize(
-    "ps",
-    [
-        [],
-        [5],
-        [5, 5, 5, 6, 6, 9, 9, 9, 9, 10, 20],  # runs that spill into the next value
-        [0] * 3000 + [1500, 2999, 3000, 3000, 4000],  # one long run swallowing later times
-        [7, 7, 8, 8, 8, 8, 9, 30, 30, 31],
-    ],
-)
-def test_tagstream_text_matches_tie_bump_loop(tmp_path, ps):
-    times = np.asarray(ps, dtype=np.float64) * 1e-12
-    # sub-picosecond jitter rounds onto the same picosecond
-    times += np.resize([0.0, 0.2e-12, -0.3e-12, 0.4e-12], times.size)
-    lines = (np.arange(times.size) % 2).astype(np.uint8)
-    stream = TagStream(times_s=times, lines=lines)
-    stream.to_text(tmp_path / "fast.txt")
-    _to_text_reference(stream, tmp_path / "loop.txt")
-    assert (tmp_path / "fast.txt").read_bytes() == (tmp_path / "loop.txt").read_bytes()
-    # the bumped file reads back and writes out unchanged
-    TagStream.from_text(tmp_path / "fast.txt").to_text(tmp_path / "again.txt")
-    assert (tmp_path / "again.txt").read_bytes() == (tmp_path / "fast.txt").read_bytes()
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("5\t0\n5\t1\n", "2: time 5 ps does not follow 5 ps"),
-        ("5\t0\n9\t1\n\n8\t0\n", "4: time 8 ps does not follow 9 ps"),
-        ("5\t0\n9\t7\n", "2: line 7 is not 0 or 1"),
-        ("5\t-1\n", "1: line -1 is not 0 or 1"),
-        ("5\t0\t1\n", "1: .+ is not two tab-separated integers"),
-        ("5\t0\n9 1\n", "2: '9 1' is not two tab-separated integers"),
-    ],
-    ids=["tie", "backwards", "line-7", "line-negative", "three-fields", "space"],
-)
-def test_tagstream_from_text_rejects_what_the_format_forbids(tmp_path, text, message):
-    path = tmp_path / "tags.txt"
-    path.write_text(text)
-    with pytest.raises(ValueError, match=f"tags.txt:{message}"):
-        TagStream.from_text(path)
 
 
 def test_ground_truth_labels_partition_stream():

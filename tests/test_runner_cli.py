@@ -150,6 +150,12 @@ def test_a_pad_write_fault_at_any_write_ends_the_run_as_a_row(
         report = run_once(SystemParams(), 0.2, bytes(32), otp=store)
     assert report.failure_stage == stage
     assert report.failure_kind == ("StorageFailure" if stage else "")
+    # a failed row counts no key bits, also when the key was made before
+    # its top-up failed
+    if stage:
+        assert (report.n_fin, report.secret_bits_per_s, report.final_keys_match) == (0, 0.0, False)
+    else:
+        assert report.n_fin > 0 and report.final_keys_match
     with OtpStore(path) as reopened:
         assert (reopened.consumed_offset, reopened.remaining) == (offset, remaining)
         n_entries = len(reopened.ledger)

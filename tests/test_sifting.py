@@ -337,6 +337,29 @@ def test_estimate_error_requires_minimum_length():
         )
 
 
+def _estimate(alice_slots, bob_slots):
+    alice, bob = (
+        SiftedKey(np.ones(len(s), np.uint8), np.asarray(s, np.int64), len(s))
+        for s in (alice_slots, bob_slots)
+    )
+    estimate_error(alice, bob, seed("malformed"), ClassicalChannel())
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: SiftedKey(np.ones(3, np.uint8), np.arange(2), 3), "bits and slots must align"),
+        (lambda: SiftedKey(np.ones(3, np.uint8), np.arange(3), 4, 2), "n_rec must equal"),
+        (lambda: _estimate([0, 1, 2], [0, 1]), "keys must have equal length"),
+        (lambda: _estimate([0, 1, 2], [0, 1, 3]), "keys must cover the same slots"),
+    ],
+    ids=["slots", "n_rec", "lengths", "key-slots"],
+)
+def test_sifted_keys_reject_malformed_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_channel_logs_and_frames_messages():
     channel = ClassicalChannel()
     frame = channel.send("bob", MSG_BASIS_ANNOUNCE, b"\x01\x02\x03")

@@ -409,30 +409,6 @@ def test_lock_clock_lost_when_signal_stops():
         lock_clock(stream, 0.0, params)
 
 
-@pytest.mark.parametrize("background_cps", [0.0, 20000.0])
-def test_tag_file_carries_everything_the_clock_lock_reads(tmp_path, background_cps):
-    # Read back from the tag file, the stream gates exactly as the in-memory
-    # one at the file's 1 ps resolution, whose oracle fields the file drops:
-    # times and lines are all the protocol reads.
-    params = SystemParams(background_rate_cps=background_cps)
-    stream, _ = signal_stream(
-        "file", n_pulses=1_500_000, params=params, skew_ppm=params.clock_skew_ppm
-    )
-    path = tmp_path / "tags.txt"
-    stream.to_text(path)
-    loaded = TagStream.from_text(path)
-    on_grid = replace(stream, times_s=np.round(stream.times_s * 1e12) * 1e-12)
-    assert np.array_equal(loaded.times_s, on_grid.times_s)
-    want = lock_clock(on_grid, detect_start(on_grid), params)
-    got = lock_clock(loaded, detect_start(loaded), params)
-    assert want.n_events > 5000
-    for name in ("slots", "detectors", "tag_indices"):
-        assert np.array_equal(getattr(got, name), getattr(want, name)), name
-    # rounding to the picosecond moves only tags at a gate edge
-    exact = lock_clock(stream, detect_start(stream), params)
-    assert np.setxor1d(exact.tag_indices, got.tag_indices).size <= exact.n_events // 1000
-
-
 def test_phase_histogram_shows_two_peaks(tmp_path):
     stream, _ = signal_stream("hist", background_cps=5000.0, skew_ppm=10.0)
     gated = lock_clock(stream, detect_start(stream), SystemParams())
