@@ -26,6 +26,7 @@ store and the CSV of a sweep or a single run.
 import csv
 import dataclasses
 import math
+import numbers
 import os
 from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field, replace
@@ -128,8 +129,8 @@ class RunConfig:
     otp_path: str | None = None
 
     def __post_init__(self):
-        if self.repetitions < 1:
-            raise ValueError("need at least one repetition")
+        if not isinstance(self.repetitions, numbers.Integral) or self.repetitions < 1:
+            raise ValueError(f"repetitions must be an integer >= 1, got {self.repetitions!r}")
         _pulse_count(self.params, self.duration_s)
         for v in (*self.axis_values, *self.background_values):
             if not np.isfinite(v) or v < 0:
@@ -347,12 +348,14 @@ def sweep_gate(cfg: RunConfig):
 
     The ``best_gate_ns`` column carries, for every row of a background
     group, the gate whose mean secret rate won at that background. A gate
-    the receiver cannot use, or an empty axis, raises ValueError before any
-    run or output.
+    the receiver cannot use, an empty axis or an empty background grid
+    raises ValueError before any run or output.
     """
     gates_ns = cfg.axis_values
     if not gates_ns:
         raise ValueError("a sweep needs at least one axis value")
+    if not cfg.background_values:
+        raise ValueError("a gate sweep needs at least one background value")
     for gate_ns in gates_ns:
         replace(cfg.params, gate_width_s=float(gate_ns) * 1e-9)  # checks the gate
     reports = []

@@ -5,8 +5,8 @@ SHA-256 derivation, so changing how one stage draws randomness can never
 reshuffle another stage's. Simulation noise uses numpy generators seeded
 from the derived bytes. Constructions that both parties must reproduce
 byte-exactly from shared OTP material (factor graphs, Toeplitz rows) read
-the counter-mode ``HashStream`` instead, each from byte 0; its
-byte-level contract is documented in the README.
+the SHAKE-256 ``HashStream`` instead, each from byte 0; its byte-level
+contract is documented in the README.
 """
 
 import hashlib
@@ -35,31 +35,22 @@ def np_rng(seed: bytes) -> np.random.Generator:
 
 
 class HashStream:
-    """Counter-mode SHA-256 byte stream: block k = SHA-256(seed || k as u64 BE).
+    """Byte stream SHAKE-256(seed), the extendable-output function of FIPS 202.
 
     The stream, its big-endian u64 draws and the skip rule of ``below_many``
     are a cross-party contract: both parties expand the same OTP bytes to
     identical graphs and hash rows. Each expansion reads from byte 0, so
-    the object keeps no position, only the hashed seed.
+    the object keeps no position, only the absorbed seed.
     """
 
     def __init__(self, seed: bytes):
         if len(seed) != SEED_BYTES:
             raise ValueError("HashStream seed must be exactly 32 bytes")
-        self._prefix = hashlib.sha256(seed)  # the seed hashed once, copied per block
+        self._shake = hashlib.shake_256(seed)
 
-    def read(self, start: int, stop: int) -> bytearray:
-        """Bytes [start, stop) of the stream, hashing only the blocks they touch."""
-        first = start // 32
-        out = bytearray()
-        for k in range(first, -(-stop // 32)):
-            h = self._prefix.copy()
-            h.update(k.to_bytes(8, "big"))
-            out += h.digest()
-        # trimmed in place: deleting the head only moves the bytearray's start
-        del out[stop - 32 * first :]
-        del out[: start - 32 * first]
-        return out
+    def read(self, start: int, stop: int) -> bytes:
+        """Bytes [start, stop) of the stream."""
+        return self._shake.digest(stop)[start:]
 
     def below_many(self, bounds) -> np.ndarray:
         """Uniform integers in [0, b), one per bound b, as a uint64 array.

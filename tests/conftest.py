@@ -51,19 +51,21 @@ def reference_simulate_detections(record, params, seed):
 def reference_below(seed, bounds):
     """The draw-by-draw rule of the HashStream contract in README.md.
 
-    Block k = SHA-256(seed || k as u64 BE), each hashed from scratch; draw i
-    is the big-endian u64 at stream bytes [8i, 8i + 8). Each bound b takes
-    the next draw u, skipping any u >= floor(2^64 / b) * b, and gives u % b.
+    The stream is SHAKE-256(seed), expanded here straight from hashlib and
+    re-expanded to twice its length whenever the draws run past it (a
+    longer SHAKE output begins with every shorter one); draw i is the
+    big-endian u64 at stream bytes [8i, 8i + 8). Each bound b takes the
+    next draw u, skipping any u >= floor(2^64 / b) * b, and gives u % b.
     The oracle for ``HashStream.below_many``; returns the values and the
     number of draws used.
     """
-    values, used = [], 0
+    values, used, stream = [], 0, b""
     for b in map(int, bounds):
         limit = 2**64 // b * b
         while True:
-            if used % 4 == 0:
-                block = hashlib.sha256(seed + (used // 4).to_bytes(8, "big")).digest()
-            u = int.from_bytes(block[8 * (used % 4) : 8 * (used % 4) + 8], "big")
+            if 8 * used == len(stream):
+                stream = hashlib.shake_256(seed).digest(2 * len(stream) + 64)
+            u = int.from_bytes(stream[8 * used : 8 * used + 8], "big")
             used += 1
             if u < limit:
                 values.append(u % b)

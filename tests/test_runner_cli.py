@@ -46,8 +46,8 @@ STORE_SWEEP_CSV_SHA256 = (
     "78279f2f727e101016169fd2b8049e01431353449813399d11e2ed441bef8399"
 )
 STORE_AFTER_SWEEP_SHA256 = (
-    "3f386ed26d9be88d489d8929c01cab3703906b98c83c53edf18be1547bae2668",
-    "8c2869b5f7024aa10998acd8add7ed6deb57ad0d7648dbfc8c0e95095d662e88",
+    "49607e78fe29cd47260907af5003c950866d4ddd9a71d70da5b25542ce5cec6a",
+    "8da33c471ee1046bafa4994cbc83428c730ac63b8cca3996243dbcf5a7ef67f4",
 )
 # The whole file `qkd-sim otp init --size 512 --seed aa` writes.
 OTP_INIT_SHA256 = (
@@ -442,15 +442,43 @@ def test_cli_rejects_gate_at_demux_delay_before_writing(tmp_path, argv):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("values", ["", ","])
-@pytest.mark.parametrize("sweep", ["background", "gate"])
-def test_cli_rejects_an_empty_sweep_axis_before_writing(tmp_path, sweep, values):
+@pytest.mark.parametrize(
+    "sweep, values, backgrounds, match",
+    [
+        pytest.param(sweep, values, None, "at least one axis value", id=f"{sweep}-{values}")
+        for sweep in ("background", "gate")
+        for values in ("", ",")
+    ]
+    + [pytest.param("gate", "5", ",", "at least one background value", id="gate-no-backgrounds")],
+)
+def test_cli_rejects_an_empty_sweep_axis_before_writing(
+    tmp_path, sweep, values, backgrounds, match
+):
     out, pad = tmp_path / "out.csv", tmp_path / "pad.otp"
     argv = ["sweep", "--sweep", sweep, "--values", values, "--out", str(out), "--otp", str(pad)]
-    with pytest.raises(ValueError, match="at least one axis value"):
+    if backgrounds is not None:
+        argv += ["--backgrounds", backgrounds]
+    with pytest.raises(ValueError, match=match):
         main(argv)
     assert not out.exists()
     assert not pad.exists()
+
+
+@pytest.mark.parametrize("reps", [0, -1, 2.0, "2", None])
+def test_run_config_rejects_repetitions_that_are_not_a_positive_integer(tmp_path, reps):
+    out, pad = tmp_path / "out.csv", tmp_path / "pad.otp"
+    with pytest.raises(ValueError, match="repetition"):
+        cfg = RunConfig(
+            duration_s=0.2,
+            repetitions=reps,
+            axis_values=(0.0,),
+            out_path=str(out),
+            otp_path=str(pad),
+        )
+        sweep_background(cfg)
+    assert not out.exists()
+    assert not pad.exists()
+    assert RunConfig(repetitions=np.int64(2)).repetitions == 2  # numpy integers are integers
 
 
 def test_sweep_gate_rejects_an_unusable_gate_before_any_output(tmp_path):

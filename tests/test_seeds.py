@@ -1,4 +1,4 @@
-"""HashStream: the counter-mode byte stream both parties expand from shared seeds."""
+"""HashStream: the SHAKE-256 byte stream both parties expand from shared seeds."""
 
 import hashlib
 
@@ -11,39 +11,33 @@ from conftest import reference_below
 
 KA_SEED = derive_seed(bytes(32), "hashstream-known-answer")
 
-# Known answers recorded before the stream gained its bulk path; they pin
+# Known answers recorded from the SHAKE-256 definition; they pin
 # the cross-party byte contract in README.md. NEXT_8_HEX is the draw after
-# the 11 that BELOW_BOUNDS use: two of them are skipped.
-BLOCKS_0_1_HEX = (
-    "40a2e98a77a5e16de4d4f350914213bffba669445aaff4cd56261c0c02a931d6"
-    "6eefae7fe2fe5482f6e1b2a29a40312f94e0352bcfd2c9ade333539948c91a25"
+# the 9 that BELOW_BOUNDS use: none of them is skipped.
+FIRST_64_HEX = (
+    "87242773791c331fa336215cf1e2c4a13b81c384cd30b9b5b85ea6ee212ac5b4"
+    "3014e52a6997c62f25a3528f3bde24855049940c6a8e8b80c2a783949adcd7cf"
 )
 BELOW_BOUNDS = [1, 2, 3, 10, 1000, 2**32 + 1, 2**63 + 1, 2**64 - 1, 7]
 BELOW_VALUES = [
-    0, 1, 2, 8, 954, 2740878990, 8528375346787317395, 16485883189208175082, 0,
+    0, 1, 0, 4, 535, 372953590, 5785317977382357888, 14026324238745262031, 4,
 ]
-NEXT_8_HEX = "54821496af525d59"
+NEXT_8_HEX = "c5ccbe1e20cd8acd"
 
 
 def test_blocks_known_answer():
-    assert HashStream(KA_SEED).read(0, 64).hex() == BLOCKS_0_1_HEX
+    assert HashStream(KA_SEED).read(0, 64).hex() == FIRST_64_HEX
 
 
-def _blocks(seed, first, last):
-    """Blocks first..last of the contract, each hashed from scratch."""
-    return b"".join(
-        hashlib.sha256(seed + k.to_bytes(8, "big")).digest() for k in range(first, last + 1)
-    )
-
-
-def test_stream_is_sha256_of_seed_and_counter():
+def test_stream_is_shake_256_of_the_seed():
     seed = derive_seed(KA_SEED, "counter")
-    assert HashStream(seed).read(0, 301 * 32) == _blocks(seed, 0, 300)
+    assert HashStream(seed).read(0, 301 * 32) == hashlib.shake_256(seed).digest(301 * 32)
 
 
-def test_read_from_mid_block_continues_the_counter():
+def test_read_from_inside_the_stream_is_that_slice():
     seed = derive_seed(KA_SEED, "mid-block")
-    assert HashStream(seed).read(3, 3 + 300 * 32) == _blocks(seed, 0, 300)[3 : 3 + 300 * 32]
+    stop = 3 + 300 * 32
+    assert HashStream(seed).read(3, stop) == hashlib.shake_256(seed).digest(stop)[3:]
 
 
 def test_adjacent_reads_concatenate_to_one_read():
@@ -55,7 +49,7 @@ def test_adjacent_reads_concatenate_to_one_read():
 
 @pytest.mark.parametrize("n", [0, 13, 512])
 def test_bits_are_the_first_bits_msb_first(n):
-    want = np.unpackbits(np.frombuffer(bytes.fromhex(BLOCKS_0_1_HEX), np.uint8))[:n]
+    want = np.unpackbits(np.frombuffer(bytes.fromhex(FIRST_64_HEX), np.uint8))[:n]
     got = HashStream(KA_SEED).bits(n)
     assert got.dtype == np.uint8
     assert got.tolist() == want.tolist()
@@ -65,7 +59,7 @@ def test_below_known_answer():
     # the draw-by-draw reference itself, against the recorded answers
     values, used = reference_below(KA_SEED, BELOW_BOUNDS)
     assert values == BELOW_VALUES
-    assert used == 11
+    assert used == 9
     assert HashStream(KA_SEED).read(8 * used, 8 * used + 8).hex() == NEXT_8_HEX
 
 

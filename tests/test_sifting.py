@@ -387,7 +387,7 @@ FRAME_SHA256 = {
     1: "194485cf947f0deeb982acbd14025afa3f814ee8da8c11015b40d6585252e418",
     2: "306278ab6bf86261e5e6585deb30435f29b7a150cd9f29837153fa10890e5aa8",
     3: "6d2b75c7fa74a6692918f3341d4bfb2dadea8d0ae4087e1b09368baa64d97947",
-    4: "51222728069e97f2d4b798c647b51e0ce2cbbe9fbd5eff8b3df37013f1b74abc",
+    4: "f811013b1c0109b5a87e3bc11f3380fe44de1195f717daaa40f384a4ed7410a8",
     5: "ab535a7526fdfb0e07b90daca0016ff0ce24e90d2906ec001d239f00f3809c75",
     6: "c1bb280b50b24eb0f476df7a540d1970e9893fb365fdaf6dfcc9c9638d430409",
 }
