@@ -159,37 +159,43 @@ def simulate_detections(
     n = record.n_pulses
     lam = params.mean_photon_number * params.channel_transmission * params.detection_efficiency
     k = int(rng.poisson(n * lam))
-    pulse_idx = np.sort(rng.integers(0, n, size=k, dtype=np.int64))
+    pulse_idx = rng.integers(0, n, size=k, dtype=np.int64)
+    pulse_idx.sort()  # in place: np.sort would copy it
 
+    # each per-photon array goes at its last use
     states = record.states[pulse_idx]
     port = _uniform_2bit(rng, k)  # grating output port
     matched = port == states
     conjugate = ((port ^ states) & 1) == 1
     registers = matched | (conjugate & (rng.random(k) < 0.5))
+    del conjugate
 
     # Relocation onto the orthogonal same-basis channel, governed by the
     # destination channel's wrong-bit rate.
     ber = np.asarray(params.base_ber_per_channel, dtype=np.float64)
     orthogonal = states ^ 2
+    del states
     flip = matched & (rng.random(k) < ber[orthogonal])
     detectors = np.where(flip, orthogonal, port).astype(np.uint8)
+    del flip, orthogonal, port
 
     if params.injected_error_rate > 0:
         inject = matched & registers & (rng.random(k) < params.injected_error_rate)
         detectors = np.where(inject, detectors ^ 2, detectors).astype(np.uint8)
+        del inject
+    del matched
 
-    times = (
-        record.start_time_s
-        + pulse_idx * params.pulse_period_s
-        + rng.normal(0.0, params.pulse_jitter_rms_s, k)
-    )
-
+    # jitter is drawn for every photon, as the draw order fixes, but times
+    # are built for the registered ones only, in the same order of addition
+    jitter = rng.normal(0.0, params.pulse_jitter_rms_s, k)
     registered = np.flatnonzero(registers)
-    return DetectionEvents(
-        times_s=times.take(registered),
-        detectors=detectors.take(registered),
-        pulses=pulse_idx.take(registered),
-    )
+    del registers
+    pulses = pulse_idx.take(registered)
+    del pulse_idx
+    times = record.start_time_s + pulses * params.pulse_period_s
+    times += jitter.take(registered)
+    del jitter
+    return DetectionEvents(times_s=times, detectors=detectors.take(registered), pulses=pulses)
 
 
 def add_background(

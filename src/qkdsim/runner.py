@@ -221,12 +221,14 @@ def run_once(
         events = simulate_detections(record, params, seed("detect"))
         events = add_background(events, params, total_duration, seed("background"))
         stream = multiplex_two_channel(events, params)
+        del events  # its truth labels travel in the stream
 
         stage = "detect_start"
         start = detect_start(stream)
 
         stage = "lock_clock"
         gated = lock_clock(stream, start, params)
+        del stream
         if phase_hist is not None:
             gated.write_phase_histogram(phase_hist)
 
@@ -243,6 +245,7 @@ def run_once(
         stage = "sift"
         channel = ClassicalChannel()
         alice_key, bob_key = sift(gated, alignment, record, channel)
+        del record, gated, alignment  # the keys are all later stages read
 
         stage = "estimate_error"
         error, n_est, alice_key, bob_key = estimate_error(
@@ -286,7 +289,13 @@ def run_once(
 
 
 def seeded_store(path, seed: bytes, size: int = PAD_BYTES) -> OtpStore:
-    """Create a pad store at ``path`` holding ``size`` bytes drawn from ``seed``."""
+    """Create a pad store at ``path`` holding ``size`` bytes drawn from ``seed``.
+
+    A size that is negative or not an integer raises ValueError before
+    any file is created; a size of 0 makes an empty pad.
+    """
+    if not isinstance(size, numbers.Integral) or size < 0:
+        raise ValueError(f"pad size must be a non-negative integer, got {size!r}")
     pad = np_rng(seed).integers(0, 256, size=size, dtype=np.uint8).tobytes()
     return OtpStore.create(path, pad)
 

@@ -109,11 +109,12 @@ def sift(
     offset = alignment.start_offset_pulses
     bob_bases = state_bases(dets)
 
-    payload = (
-        struct.pack("<I", int(slots.size))
-        + slots.astype("<i8").tobytes()
-        + bob_bases.tobytes()
-    )
+    # one join, and no copy of slots that are already little-endian int64
+    payload = b"".join([
+        struct.pack("<I", int(slots.size)),
+        slots.astype("<i8", copy=False).tobytes(),
+        bob_bases.tobytes(),
+    ])
     channel.send("bob", MSG_BASIS_ANNOUNCE, payload)
 
     # Every event in slot order: one stable sort finds the multi-fire
@@ -129,7 +130,8 @@ def sift(
     # Alice's state at every event's pulse, read once
     a_idx = sorted_slots + offset
     keep &= (a_idx >= 0) & (a_idx < alice.n_pulses)
-    a_states = alice.states[np.clip(a_idx, 0, alice.n_pulses - 1)]
+    a_states = alice.states[np.clip(a_idx, 0, alice.n_pulses - 1, out=a_idx)]
+    del a_idx
     keep &= state_bases(a_states) == bob_bases[order]
 
     # The first event at each revealed slot that some event holds; when
@@ -148,7 +150,10 @@ def sift(
     channel.send(
         "alice",
         MSG_MATCH_REPLY,
-        struct.pack("<I", int(kept_slots.size)) + kept_slots.astype("<i8").tobytes(),
+        b"".join([
+            struct.pack("<I", int(kept_slots.size)),
+            kept_slots.astype("<i8", copy=False).tobytes(),
+        ]),
     )
 
     n_rec = int(kept_slots.size) + n_revealed_matched

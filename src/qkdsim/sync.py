@@ -152,9 +152,25 @@ def detect_start(stream: TagStream) -> float:
 # clock lock
 
 
+def _mod(x: np.ndarray, period: float) -> np.ndarray:
+    """``x % period`` for an array, as x - floor(x / period) * period in one
+    new array: about half the time of numpy's float remainder. A result can
+    lie one ulp below 0 or on ``period``, where ``%`` gives [0, period)."""
+    q = x * (1 / period)
+    np.floor(q, out=q)
+    q *= period
+    np.subtract(x, q, out=q)
+    return q
+
+
 def _circ_diff(a, b, period):
-    """Signed circular difference a - b wrapped into [-period/2, period/2)."""
-    return (a - b + period / 2.0) % period - period / 2.0
+    """Signed circular difference a - b wrapped into [-period/2, period/2):
+    exactly for scalars, which keep ``%``, and to within one ulp for arrays."""
+    if np.ndim(a) == 0:
+        return (a - b + period / 2.0) % period - period / 2.0
+    d = _mod(a - b + period / 2.0, period)
+    d -= period / 2.0
+    return d
 
 
 def _phase_bins(phases: np.ndarray, period: float, gate: float):
@@ -162,7 +178,10 @@ def _phase_bins(phases: np.ndarray, period: float, gate: float):
     returns (bins, bin count, bin width)."""
     nbins = max(int(round(period / (gate / 4.0))), 8)
     binw = period / nbins
-    return np.minimum((phases / binw).astype(np.int64), nbins - 1), nbins, binw
+    bins = np.empty(phases.shape, dtype=np.int64)
+    np.divide(phases, binw, out=bins, casting="unsafe")  # truncates, as astype does
+    np.minimum(bins, nbins - 1, out=bins)
+    return bins, nbins, binw
 
 
 def _rolling_window_sum(hist: np.ndarray, width_bins: int) -> np.ndarray:
@@ -179,7 +198,7 @@ def _peak_phase(times: np.ndarray, period: float, gate: float):
     winner with a circular mean. Returns (phase, peak-to-uniform ratio,
     tags in the two windows).
     """
-    phases = times % period
+    phases = _mod(times, period)
     bins, nbins, binw = _phase_bins(phases, period, gate)
     hist = np.bincount(bins, minlength=nbins)
     wb = max(int(round(gate / binw)), 1)
@@ -307,11 +326,15 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
         # an interval with few tags coasts on the last phase estimate
         interval_phases.append(phase_track)
 
-    # One pass, each tag against its interval's phase; each array goes at its last use.
+    # One pass, each tag against its interval's phase; each array goes at its
+    # last use, and the residual and the gate arithmetic work in place.
     phase = np.repeat(interval_phases, np.diff(cuts))
-    residual = (tc - (phase - phase0)) % period
     rel = tc - phase
-    del tc, phase
+    phase -= phase0
+    tc -= phase  # the residual before it wraps: tc - (phase - phase0)
+    del phase
+    residual = _mod(tc, period)
+    del tc
     bins, nbins, binw = _phase_bins(residual, period, gate)
     histogram = np.bincount(bins, minlength=nbins)
     del residual, bins
@@ -321,14 +344,19 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     direct = np.abs(x) <= gate / 2.0
     # x lies in [-period/2, period/2), so |x - 40 ns| is under one period
     # and its circular distance is the nearer of it and its complement
-    y = np.abs(x - DEMUX_DELAY_S)
+    x -= DEMUX_DELAY_S
+    y = np.abs(x, out=x)
     del x
     delayed = ~direct & ((y <= gate / 2.0) | (period - y <= gate / 2.0))
     del y
     kept = np.flatnonzero(direct | delayed)
+    del direct
     delayed = delayed[kept]
-    slots = np.round((rel[kept] - DEMUX_DELAY_S * delayed) / period).astype(np.int64)
-    del rel, direct
+    rel = rel[kept]
+    rel -= DEMUX_DELAY_S * delayed
+    rel /= period
+    slots = np.round(rel, out=rel).astype(np.int64)
+    del rel
     dets = lines[kept] | delayed.view(np.uint8) << 1
     idx = base + kept
     del kept, delayed
@@ -338,11 +366,22 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     slots -= int(round(lock_at / period))
 
     # One event per (slot, line): a later arrival in an already occupied
-    # window is a collision artefact and is dropped.
+    # window is a collision artefact and is dropped. A stable sort puts each
+    # pair's first arrival at the head of its run of equal keys; slots need
+    # not ascend, since the phase may step at an interval boundary.
     key = slots * 2 + (dets & 1)
-    _, first = np.unique(key, return_index=True)
+    order = np.argsort(key, kind="stable")
+    key.sort()
+    head = np.empty(key.size, dtype=bool)
+    head[:1] = True
+    np.not_equal(key[1:], key[:-1], out=head[1:])
+    del key
+    first = order[head]
+    del order, head
     first.sort()
-    slots, dets, idx = slots[first], dets[first], idx[first]
+    slots = slots[first]
+    dets = dets[first]
+    idx = idx[first]
 
     if len(track_times) >= 2:
         slope = np.polyfit(track_times, track_phases, 1)[0]

@@ -1,6 +1,7 @@
 """Shared test helpers."""
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -71,6 +72,19 @@ def reference_below(seed, bounds):
                 values.append(u % b)
                 break
     return values, used
+
+
+def traced_peak(fn):
+    """Peak bytes that tracemalloc sees allocated while ``fn()`` runs.
+
+    Warm ``fn`` up first, so first-call allocations stay out of the peak.
+    """
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -1,7 +1,6 @@
 """Factor-graph construction, syndrome algebra and BP decoding."""
 
 import hashlib
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +20,7 @@ from qkdsim.reconcile import (
 from qkdsim.seeds import derive_seed
 from qkdsim.sifting import ClassicalChannel
 
-from conftest import reference_below
+from conftest import reference_below, traced_peak
 
 SEED = derive_seed(bytes(32), "reconcile-tests")
 
@@ -217,13 +216,7 @@ def test_graph_build_memory_stays_small():
     # about 10.5 MB without per-edge Python objects; per-edge lists and an
     # edge set take the same build past 38 MB
     build_factor_graph(1024, 0.6, SEED)  # first-call allocations stay out of the peak
-    tracemalloc.start()
-    try:
-        build_factor_graph(65_536, 0.6, SEED)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 20e6
+    assert traced_peak(lambda: build_factor_graph(65_536, 0.6, SEED)) < 20e6
 
 
 def test_graph_check_count_arithmetic():

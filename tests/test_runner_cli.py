@@ -20,6 +20,8 @@ from qkdsim.runner import (
 )
 from qkdsim.seeds import parse_seed
 
+from conftest import traced_peak
+
 SEED = parse_seed("5eed")
 
 # Known-answer SHA-256 digests of the CSV bytes written by the tests below.
@@ -68,6 +70,14 @@ def test_run_once_reference_point():
     assert abs(report.error_rate - 0.027) < 0.01
     assert report.n_fin > 0
     assert report.secret_bits_per_s == pytest.approx(report.n_fin / 0.4)
+
+
+def test_run_memory_holds_record_plus_one_stage():
+    # A 6 s run holds Alice's 30 MB record plus the working set of the one
+    # stage running: about 42.5 MB. With the detections, the tag stream and
+    # the gated events kept alive to the end, reconcile_keys peaked at 58 MB.
+    run_once(SystemParams(), 6.0, bytes(32))  # first-call allocations stay out of the peak
+    assert traced_peak(lambda: run_once(SystemParams(), 6.0, bytes(32))) < 48e6
 
 
 def test_run_once_deterministic():
@@ -588,6 +598,23 @@ def test_cli_otp_subcommands(tmp_path, capsys):
     store.close()
     assert main(["otp", "ledger", "--otp", str(path)]) == 0
     assert "auth" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("size", [-1, 2.5, "512"])
+def test_seeded_store_rejects_a_bad_size_before_creating_a_file(tmp_path, size):
+    path = tmp_path / "pad.otp"
+    with pytest.raises(ValueError, match="pad size must be a non-negative integer"):
+        runner.seeded_store(path, bytes(32), size)
+    assert not path.exists()
+    if size == -1:  # the CLI reaches the same check
+        with pytest.raises(ValueError, match="pad size"):
+            main(["otp", "init", "--otp", str(path), "--size", "-1"])
+        assert not path.exists()
+
+
+def test_seeded_store_of_size_zero_is_an_empty_pad(tmp_path):
+    with runner.seeded_store(tmp_path / "pad.otp", bytes(32), 0) as store:
+        assert store.remaining == 0
 
 
 def test_params_reject_negative_safety_margin():

@@ -13,7 +13,9 @@ KA_SEED = derive_seed(bytes(32), "hashstream-known-answer")
 
 # Known answers recorded from the SHAKE-256 definition; they pin
 # the cross-party byte contract in README.md. NEXT_8_HEX is the draw after
-# the 9 that BELOW_BOUNDS use: none of them is skipped.
+# the 9 that BELOW_BOUNDS use: none of them is skipped, so SKIP_BOUNDS,
+# near 2^63 + 1 where about half of all u64 draws are skipped, pins the
+# skip rule: its 8 values take 21 draws.
 FIRST_64_HEX = (
     "87242773791c331fa336215cf1e2c4a13b81c384cd30b9b5b85ea6ee212ac5b4"
     "3014e52a6997c62f25a3528f3bde24855049940c6a8e8b80c2a783949adcd7cf"
@@ -23,6 +25,12 @@ BELOW_VALUES = [
     0, 1, 0, 4, 535, 372953590, 5785317977382357888, 14026324238745262031, 4,
 ]
 NEXT_8_HEX = "c5ccbe1e20cd8acd"
+SKIP_BOUNDS = [2**63 + 1 + k for k in range(8)]
+SKIP_VALUES = [
+    4287923295379044789, 3464645983677695535, 2712102175745385605, 5785317977382357888,
+    5648202250119877086, 8967541776159192070, 6141900435412125010, 4722515341571062434,
+]
+SKIP_USED = 21
 
 
 def test_blocks_known_answer():
@@ -67,6 +75,13 @@ def test_below_many_known_answer():
     got = HashStream(KA_SEED).below_many(BELOW_BOUNDS)
     assert got.dtype == np.uint64
     assert got.tolist() == BELOW_VALUES
+
+
+def test_below_known_answer_with_skipped_draws():
+    values, used = reference_below(KA_SEED, SKIP_BOUNDS)
+    assert (values, used) == (SKIP_VALUES, SKIP_USED)
+    assert used > len(SKIP_BOUNDS)  # draws really are skipped
+    assert HashStream(KA_SEED).below_many(SKIP_BOUNDS).tolist() == SKIP_VALUES
 
 
 @pytest.mark.parametrize("label", [0, 5, 32])

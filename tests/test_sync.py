@@ -1,7 +1,6 @@
 """Start detection, clock lock, gating and sparse alignment."""
 
 import hashlib
-import tracemalloc
 from bisect import insort
 from dataclasses import replace
 
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from qkdsim.errors import AmbiguousAlignment, InsufficientData, LockLost, NoJumpFound
-from qkdsim.params import SystemParams
+from qkdsim.params import DEMUX_DELAY_S, SystemParams
 from qkdsim.photonics import (
     TagStream,
     add_background,
@@ -31,6 +30,8 @@ from qkdsim.sync import (
     lock_clock,
     sparse_align,
 )
+
+from conftest import traced_peak
 
 MASTER = derive_seed(bytes(32), "sync-tests")
 
@@ -382,6 +383,32 @@ def test_lock_clock_known_answer_across_an_empty_and_a_sparse_interval(
     assert got == GAP_LOCK_KNOWN_ANSWERS[background_cps]
 
 
+# Known answer of lock_clock on 0.5 s of tags at exact multiples of the
+# period (one at t = 0), 40 ns after them, and half a gate either side of
+# both: (gated events, recovered period, SHA-256 as above), recorded while
+# every phase was a float `%`. The gate-edge tags sit on the rounding
+# boundary, so a phase one ulp off moves the answer.
+EDGE_LOCK_KNOWN_ANSWER = (26945, 2.0000000015212684e-07,
+                          "7c54a786803e2328eaab4972de2e86be24c6e69cb11611fc96d638f350879b90")
+
+
+def test_lock_clock_known_answer_at_period_multiples_and_gate_edges():
+    params = SystemParams(clock_skew_ppm=0.0)
+    period, gate = params.pulse_period_s, params.gate_width_s
+    rng = np.random.default_rng(14)
+    slots = np.unique(np.append(rng.integers(0, 2_500_000, 30_000), 0))
+    where = np.array([0.0, DEMUX_DELAY_S, -gate / 2, gate / 2,
+                      DEMUX_DELAY_S - gate / 2, DEMUX_DELAY_S + gate / 2])
+    offsets = where[rng.choice(6, slots.size, p=[0.4, 0.4, 0.05, 0.05, 0.05, 0.05])]
+    lines = rng.integers(0, 2, slots.size).astype(np.uint8)
+    gated = lock_clock(TagStream(slots * period + offsets, lines), 0.0, params)
+    digest = hashlib.sha256()
+    for a in (gated.slots, gated.detectors, gated.tag_indices, gated.phase_histogram):
+        digest.update(np.ascontiguousarray(a).tobytes())
+    got = (gated.n_events, float(gated.recovered_period_s), digest.hexdigest())
+    assert got == EDGE_LOCK_KNOWN_ANSWER
+
+
 def test_lock_clock_memory_stays_small():
     # about 6.4 MB with each whole-stream temporary freed at its last use;
     # one of them (or a view of it) kept alive longer takes it past 8 MB,
@@ -389,13 +416,7 @@ def test_lock_clock_memory_stays_small():
     stream, _ = signal_stream("mem", n_pulses=5_000_000, background_cps=80000.0, skew_ppm=10.0)
     start = detect_start(stream)
     lock_clock(stream, start, SystemParams())  # first-call allocations stay out of the peak
-    tracemalloc.start()
-    try:
-        lock_clock(stream, start, SystemParams())
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 7.5e6
+    assert traced_peak(lambda: lock_clock(stream, start, SystemParams())) < 7.5e6
 
 
 def test_lock_clock_lost_when_signal_stops():
