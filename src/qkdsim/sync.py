@@ -153,9 +153,10 @@ def detect_start(stream: TagStream) -> float:
 
 
 def _mod(x: np.ndarray, period: float) -> np.ndarray:
-    """``x % period`` for an array, as x - floor(x / period) * period in one
-    new array: about half the time of numpy's float remainder. A result can
-    lie one ulp below 0 or on ``period``, where ``%`` gives [0, period)."""
+    """``x % period`` for an array, as x - floor(x * (1 / period)) * period in
+    one new array, in about 60 % of the time numpy's float remainder takes. A
+    result can lie one ulp below 0 or on ``period``, where ``%`` gives
+    [0, period)."""
     q = x * (1 / period)
     np.floor(q, out=q)
     q *= period
@@ -372,13 +373,13 @@ def lock_clock(stream: TagStream, start_s: float, params: SystemParams) -> Gated
     key = slots * 2 + (dets & 1)
     order = np.argsort(key, kind="stable")
     key.sort()
-    head = np.empty(key.size, dtype=bool)
-    head[:1] = True
-    np.not_equal(key[1:], key[:-1], out=head[1:])
+    head = np.ones(key.size, dtype=bool)
+    head[1:] = key[1:] != key[:-1]
     del key
     first = order[head]
     del order, head
     first.sort()
+    # one at a time, so that one copy at most lives beside the arrays it replaces
     slots = slots[first]
     dets = dets[first]
     idx = idx[first]

@@ -74,7 +74,7 @@ def test_run_once_reference_point():
 
 def test_run_memory_holds_record_plus_one_stage():
     # A 6 s run holds Alice's 30 MB record plus the working set of the one
-    # stage running: about 42.5 MB. With the detections, the tag stream and
+    # stage running: about 41.8 MB. With the detections, the tag stream and
     # the gated events kept alive to the end, reconcile_keys peaked at 58 MB.
     run_once(SystemParams(), 6.0, bytes(32))  # first-call allocations stay out of the peak
     assert traced_peak(lambda: run_once(SystemParams(), 6.0, bytes(32))) < 48e6

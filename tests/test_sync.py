@@ -386,8 +386,8 @@ def test_lock_clock_known_answer_across_an_empty_and_a_sparse_interval(
 # Known answer of lock_clock on 0.5 s of tags at exact multiples of the
 # period (one at t = 0), 40 ns after them, and half a gate either side of
 # both: (gated events, recovered period, SHA-256 as above), recorded while
-# every phase was a float `%`. The gate-edge tags sit on the rounding
-# boundary, so a phase one ulp off moves the answer.
+# every phase was a float `%`. The edge tags lie where the gate's `<=`
+# decides: between a quarter and three quarters of each edge group is kept.
 EDGE_LOCK_KNOWN_ANSWER = (26945, 2.0000000015212684e-07,
                           "7c54a786803e2328eaab4972de2e86be24c6e69cb11611fc96d638f350879b90")
 
@@ -410,9 +410,8 @@ def test_lock_clock_known_answer_at_period_multiples_and_gate_edges():
 
 
 def test_lock_clock_memory_stays_small():
-    # about 6.4 MB with each whole-stream temporary freed at its last use;
-    # one of them (or a view of it) kept alive longer takes it past 8 MB,
-    # and all of them kept to the end of the call near 16 MB
+    # about 5.5 MB with each whole-stream temporary freed at its last use and
+    # the final pass in place; with none of them freed early it reads 13.3 MB
     stream, _ = signal_stream("mem", n_pulses=5_000_000, background_cps=80000.0, skew_ppm=10.0)
     start = detect_start(stream)
     lock_clock(stream, start, SystemParams())  # first-call allocations stay out of the peak
